@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.graph.LocalGraph
-import repro.util.{LongDoubleMap, Parallel}
+import repro.util.{IntDoubleMap, Parallel}
 
 /** Graph compression (PARALLEL-COMPRESS / SEQUENTIAL-COMPRESS) and cluster
   * flattening (paper §3.1 and appendix B).
@@ -17,86 +17,78 @@ object Compress {
 
   /** Compress `g` by `clusters`, which must be dense ids in [0, numClusters).
     *
-    * @param threads 1 ⇒ sequential aggregation (SEQ-*, NetworKit stand-in);
-    *                >1 ⇒ per-chunk hash aggregation merged in a tree, the
-    *                work-efficient scheme the paper credits for its NetworKit
-    *                speedup.
+    * Cluster-major kernel (GBBS-style contraction): vertices are counting-sorted
+    * by cluster; each cluster aggregates its members' weights to higher
+    * clusters in a thread-local map, once to size the rows and once to write
+    * them, and a transpose mirrors those entries into the lower rows. Each
+    * pair is summed once, so both directions carry bitwise-equal weights and
+    * the output is identical at every thread count.
+    *
+    * @param threads degree of parallelism only; 1 is the sequential variant.
     */
   def compress(g: LocalGraph, clusters: Array[Int], numClusters: Int,
                threads: Int = 1): LocalGraph = {
-    val n = g.numVertices
-    require(clusters.length == n)
+    require(clusters.length == g.numVertices)
 
-    // Aggregate undirected edges once (u < v); key packs (min(cu,cv), max).
-    // Diagonal keys (c,c) carry intra-cluster weight.
-    val merged: LongDoubleMap =
-      if (threads <= 1) {
-        val m = new LongDoubleMap(math.max(64, g.nbrs.length / 2))
-        var v = 0
-        while (v < n) {
-          val cv = clusters(v)
-          var i  = g.offsets(v)
-          while (i < g.offsets(v + 1)) {
-            val u = g.nbrs(i)
-            if (v < u) {
-              val cu = clusters(u)
-              val lo = math.min(cv, cu); val hi = math.max(cv, cu)
-              m.addTo(lo.toLong << 32 | hi, g.wgts(i))
-            }
-            i += 1
-          }
-          if (g.selfLoop(v) != 0) m.addTo(cv.toLong << 32 | cv, g.selfLoop(v))
-          v += 1
-        }
-        m
-      } else {
-        Parallel.mapReduceRange[LongDoubleMap](n, threads)(() => new LongDoubleMap(1024)) { (m, v) =>
-          val cv = clusters(v)
-          var i  = g.offsets(v)
-          while (i < g.offsets(v + 1)) {
-            val u = g.nbrs(i)
-            if (v < u) {
-              val cu = clusters(u)
-              val lo = math.min(cv, cu); val hi = math.max(cv, cu)
-              m.addTo(lo.toLong << 32 | hi, g.wgts(i))
-            }
-            i += 1
-          }
-          if (g.selfLoop(v) != 0) m.addTo(cv.toLong << 32 | cv, g.selfLoop(v))
-        }(_ mergeFrom _)
-      }
+    // Members of cluster c are members(start(c) until start(c + 1)), ascending.
+    val start = new Array[Int](numClusters + 1)
+    clusters.foreach(c => start(c + 1) += 1)
+    for (c <- 0 until numClusters) start(c + 1) += start(c)
+    val members = new Array[Int](clusters.length)
+    val pos     = java.util.Arrays.copyOf(start, numClusters)
+    for (v <- clusters.indices) { val c = clusters(v); members(pos(c)) = v; pos(c) += 1 }
 
-    // Vertex-side aggregation: k', Σk'², self-loops from the diagonal.
     val kOut  = new Array[Double](numClusters)
     val sqOut = new Array[Double](numClusters)
     val slOut = new Array[Double](numClusters)
-    var v = 0
-    while (v < n) {
-      val c = clusters(v)
-      kOut(c) += g.vertexWeight(v)
-      sqOut(c) += g.sqWeight(v)
-      v += 1
+    val tlMap = ThreadLocal.withInitial[IntDoubleMap](() => new IntDoubleMap(64))
+    // c's weight to each higher cluster, in a fixed order; with `sums`, also c's
+    // vertex-side totals and internal weight (each internal edge once, x < u).
+    def gather(c: Int, sums: Boolean): IntDoubleMap = {
+      val map = tlMap.get(); map.clear()
+      var i = start(c)
+      while (i < start(c + 1)) {
+        val x = members(i)
+        if (sums) { kOut(c) += g.vertexWeight(x); sqOut(c) += g.sqWeight(x); slOut(c) += g.selfLoop(x) }
+        var j = g.offsets(x)
+        while (j < g.offsets(x + 1)) {
+          val u = g.nbrs(j); val b = clusters(u)
+          if (b > c) map.addTo(b, g.wgts(j))
+          else if (sums && b == c && x < u) slOut(c) += g.wgts(j)
+          j += 1
+        }
+        i += 1
+      }
+      map
     }
 
-    // CSR build from merged map.
-    val deg = new Array[Int](numClusters)
-    merged.foreachEntry { (key, _) =>
-      val a = (key >>> 32).toInt; val b = (key & 0xffffffffL).toInt
-      if (a == b) () else { deg(a) += 1; deg(b) += 1 }
-    }
+    // Count pass: entries c→b above the diagonal; each is one of b's lower entries.
+    val low     = new java.util.concurrent.atomic.AtomicIntegerArray(numClusters)
     val offsets = new Array[Int](numClusters + 1)
-    var c = 0
-    while (c < numClusters) { offsets(c + 1) = offsets(c) + deg(c); c += 1 }
-    val pos  = offsets.clone()
-    val nbrs = new Array[Int](offsets(numClusters))
-    val wgts = new Array[Double](offsets(numClusters))
-    merged.foreachEntry { (key, w) =>
-      val a = (key >>> 32).toInt; val b = (key & 0xffffffffL).toInt
-      if (a == b) slOut(a) += w
-      else {
-        nbrs(pos(a)) = b; wgts(pos(a)) = w; pos(a) += 1
-        nbrs(pos(b)) = a; wgts(pos(b)) = w; pos(b) += 1
-      }
+    Parallel.forRange(numClusters, threads) { c =>
+      val map = gather(c, sums = true)
+      var e = 0
+      while (e < map.size) { low.incrementAndGet(map.keyAt(e)); e += 1 }
+      offsets(c + 1) = map.size
+    }
+    for (c <- 0 until numClusters) offsets(c + 1) += offsets(c) + low.get(c)
+
+    // Fill pass: row c holds [entries to higher clusters | entries to lower ones].
+    // Higher first: moves take the first of equal-score targets in adjacency
+    // order, and rows that open with the lowest ids skew those ties (DESIGN §5).
+    val m2   = offsets(numClusters)
+    val nbrs = new Array[Int](m2); val wgts = new Array[Double](m2)
+    Parallel.forRange(numClusters, threads) { c =>
+      val map = gather(c, sums = false)
+      val p = offsets(c); var e = 0
+      while (e < map.size) { nbrs(p + e) = map.keyAt(e); wgts(p + e) = map.valueAt(e); e += 1 }
+    }
+
+    // Mirror: scanning c upwards fills each row's lower part in ascending order.
+    for (c <- 0 until numClusters) pos(c) = offsets(c + 1) - low.get(c)
+    for (c <- 0 until numClusters) {
+      var p = offsets(c); val end = offsets(c + 1) - low.get(c)
+      while (p < end) { val b = nbrs(p); nbrs(pos(b)) = c; wgts(pos(b)) = wgts(p); pos(b) += 1; p += 1 }
     }
     new LocalGraph(numClusters, offsets, nbrs, wgts, kOut, slOut, sqOut)
   }

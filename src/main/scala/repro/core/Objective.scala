@@ -102,16 +102,20 @@ object Objective {
                         wToC2: Double, kC2: Double): Double =
     (wToC2 - lambda * kV * kC2) - (wToC - lambda * kV * kC + lambda * kV * kV)
 
-  /** Renumber arbitrary cluster ids to dense [0, #clusters). */
+  /** Renumber non-negative cluster ids to dense [0, #clusters), in order of
+    * first appearance. Relabels through an array of size max id + 1.
+    */
   def normalize(clusters: Array[Int]): Array[Int] = {
-    val map = new java.util.HashMap[Integer, Integer]()
-    val out = new Array[Int](clusters.length)
+    var max = -1
+    clusters.foreach { c => require(c >= 0, s"negative cluster id $c"); max = math.max(max, c) }
+    val id   = Array.fill(max + 1)(-1)
+    val out  = new Array[Int](clusters.length)
+    var next = 0
     var i = 0
     while (i < clusters.length) {
-      val c   = clusters(i)
-      val got = map.get(Integer.valueOf(c))
-      if (got eq null) { val id = map.size; map.put(c, id); out(i) = id }
-      else out(i) = got.intValue
+      val c = clusters(i)
+      if (id(c) < 0) { id(c) = next; next += 1 }
+      out(i) = id(c)
       i += 1
     }
     out

@@ -1,7 +1,7 @@
 package repro.graph
 
 import java.util.SplittableRandom
-import scala.collection.mutable.ArrayBuffer
+import scala.collection.mutable.{ArrayBuffer, ArrayBuilder}
 
 /** Deterministic graph generators for the reproduction.
   *
@@ -35,7 +35,7 @@ object GraphGen {
     val rng = new SplittableRandom(seed)
     val ab  = a + b
     val abc = a + b + c
-    val edges = ArrayBuffer.empty[(Int, Int)]
+    val edges = new ArrayBuilder.ofLong
     var e = 0L
     while (e < numEdges) {
       var u = 0; var v = 0; var bit = 1 << (scale - 1)
@@ -47,21 +47,26 @@ object GraphGen {
         else { u |= bit; v |= bit }
         bit >>= 1
       }
-      if (u != v) edges += ((u, v))
+      if (u != v) edges += pair(u, v)
       e += 1
     }
-    LocalGraph.fromUnweightedEdges(n, dedupePairs(edges))
+    simpleGraph(n, edges.result())
   }
 
-  private def dedupePairs(edges: ArrayBuffer[(Int, Int)]): ArrayBuffer[(Int, Int)] = {
-    val seen = new java.util.HashSet[Long](edges.size * 2)
-    val out  = ArrayBuffer.empty[(Int, Int)]
-    edges.foreach { case (u, v) =>
-      val (x, y) = if (u < v) (u, v) else (v, u)
-      val key    = x.toLong << 32 | (y.toLong & 0xffffffffL)
-      if (seen.add(key)) out += ((x, y))
-    }
-    out
+  /** Pack the unordered pair {u, v} as min<<32 | max (ids are non-negative). */
+  private def pair(u: Int, v: Int): Long =
+    math.min(u, v).toLong << 32 | math.max(u, v)
+
+  /** Unweighted simple graph on the distinct packed pairs in `pairs`: duplicates
+    * collapse to one weight-1 edge. Sorts `pairs` in place.
+    */
+  private def simpleGraph(n: Int, pairs: Array[Long]): LocalGraph = {
+    java.util.Arrays.sort(pairs)
+    var m = 0
+    for (i <- pairs.indices) if (i == 0 || pairs(i) != pairs(i - 1)) { pairs(m) = pairs(i); m += 1 }
+    val src = Array.tabulate(m)(i => (pairs(i) >>> 32).toInt)
+    val dst = Array.tabulate(m)(i => pairs(i).toInt)
+    LocalGraph.fromEdgeArrays(n, src, dst, Array.fill(m)(1.0))
   }
 
   // ------------------------------------------------- planted partition -----
@@ -87,7 +92,7 @@ object GraphGen {
       while (v < start + size) { membership(v) = cid; v += 1 }
       start += size; cid += 1
     }
-    val edges = ArrayBuffer.empty[(Int, Int)]
+    val edges = new ArrayBuilder.ofLong
     // internal half-edges
     var v = 0
     while (v < n) {
@@ -98,7 +103,7 @@ object GraphGen {
         var i = 0
         while (i < draws) {
           val u = lo + rng.nextInt(size)
-          if (u != v) edges += ((v, u))
+          if (u != v) edges += pair(v, u)
           i += 1
         }
       }
@@ -111,7 +116,7 @@ object GraphGen {
       var i = 0
       while (i < draws) {
         val u = rng.nextInt(n)
-        if (u != v) edges += ((v, u))
+        if (u != v) edges += pair(v, u)
         i += 1
       }
       v += 1
@@ -123,12 +128,12 @@ object GraphGen {
       var i = 0
       while (i < hubDegree) {
         val u = rng.nextInt(n)
-        if (u != hub) edges += ((hub, u))
+        if (u != hub) edges += pair(hub, u)
         i += 1
       }
       h += 1
     }
-    val g = LocalGraph.fromUnweightedEdges(n, dedupePairs(edges))
+    val g = simpleGraph(n, edges.result())
     val comms = commBounds.zipWithIndex
       .map { case ((lo, hi), _) => Array.range(lo, hi) }
       .sortBy(-_.length)

@@ -1,15 +1,17 @@
 package repro.graph
 
-import repro.util.LongDoubleMap
+import scala.collection.mutable.ArrayBuilder
 
 /** Immutable CSR representation of an undirected weighted graph, possibly a
   * *compressed* (coarsened) graph in which each vertex stands for a cluster of
   * original vertices.
   *
   * Every undirected edge {u,v}, u≠v, appears twice in the adjacency
-  * (u→v and v→u) with the same weight. Self-loops are NOT stored as adjacency
-  * entries; intra-super-vertex weight accumulated by coarsening lives in
-  * `selfLoop` so the exact CC objective is computable at any level.
+  * (u→v and v→u) with bitwise-equal weights. Self-loops are NOT stored as
+  * adjacency entries; intra-super-vertex weight accumulated by coarsening
+  * lives in `selfLoop` so the exact CC objective is computable at any level.
+  * There is one CSR builder: the builders below and compression both run
+  * `Compress.compress`'s cluster-major kernel.
   *
   * @param vertexWeight  k_v of the LambdaCC objective (1 for CC, degree for
   *                      modularity, sum of constituents after coarsening)
@@ -100,37 +102,41 @@ object LocalGraph {
     * Vertex weights default to 1 (the CC objective's default k).
     */
   def fromEdges(numVertices: Int, edges: IterableOnce[(Int, Int, Double)]): LocalGraph = {
-    val agg      = new LongDoubleMap(1024)
-    val selfLoop = new Array[Double](numVertices)
-    val it       = edges.iterator
-    while (it.hasNext) {
-      val (u, v, w) = it.next()
-      require(u >= 0 && u < numVertices && v >= 0 && v < numVertices, s"edge ($u,$v) out of range")
-      if (u == v) selfLoop(u) += w
-      else {
-        val (a, b) = if (u < v) (u, v) else (v, u)
-        agg.addTo(a.toLong * numVertices + b, w)
+    val src = new ArrayBuilder.ofInt; val dst = new ArrayBuilder.ofInt; val wgt = new ArrayBuilder.ofDouble
+    edges.iterator.foreach { case (u, v, w) => src += u; dst += v; wgt += w }
+    fromEdgeArrays(numVertices, src.result(), dst.result(), wgt.result())
+  }
+
+  /** Primitive form of [[fromEdges]]: edge e is {src(e), dst(e)} with weight
+    * wgt(e). The edges are counting-sorted into a raw CSR that may hold
+    * duplicates, which [[repro.core.Compress.compress]] under the identity
+    * clustering then merges — the one CSR builder of the code base.
+    */
+  def fromEdgeArrays(numVertices: Int, src: Array[Int], dst: Array[Int],
+                     wgt: Array[Double]): LocalGraph = {
+    val n = numVertices
+    require(src.length == dst.length && dst.length == wgt.length, "edge arrays differ in length")
+    val selfLoop = new Array[Double](n)
+    val offsets  = new Array[Int](n + 1)
+    for (e <- src.indices) {
+      val u = src(e); val v = dst(e)
+      require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u,$v) out of range")
+      if (u == v) selfLoop(u) += wgt(e) else { offsets(u + 1) += 1; offsets(v + 1) += 1 }
+    }
+    for (v <- 0 until n) offsets(v + 1) += offsets(v)
+    val pos  = java.util.Arrays.copyOf(offsets, n)
+    val nbrs = new Array[Int](offsets(n))
+    val wgts = new Array[Double](offsets(n))
+    for (e <- src.indices) {
+      val u = src(e); val v = dst(e)
+      if (u != v) {
+        nbrs(pos(u)) = v; wgts(pos(u)) = wgt(e); pos(u) += 1
+        nbrs(pos(v)) = u; wgts(pos(v)) = wgt(e); pos(v) += 1
       }
     }
-    val deg = new Array[Int](numVertices)
-    agg.foreachEntry { (k, _) =>
-      val a = (k / numVertices).toInt; val b = (k % numVertices).toInt
-      deg(a) += 1; deg(b) += 1
-    }
-    val offsets = new Array[Int](numVertices + 1)
-    var v = 0
-    while (v < numVertices) { offsets(v + 1) = offsets(v) + deg(v); v += 1 }
-    val pos  = offsets.clone()
-    val nbrs = new Array[Int](offsets(numVertices))
-    val wgts = new Array[Double](offsets(numVertices))
-    agg.foreachEntry { (k, w) =>
-      val a = (k / numVertices).toInt; val b = (k % numVertices).toInt
-      nbrs(pos(a)) = b; wgts(pos(a)) = w; pos(a) += 1
-      nbrs(pos(b)) = a; wgts(pos(b)) = w; pos(b) += 1
-    }
-    val k  = Array.fill(numVertices)(1.0)
-    val sq = Array.fill(numVertices)(1.0)
-    new LocalGraph(numVertices, offsets, nbrs, wgts, k, selfLoop, sq)
+    val ones = Array.fill(n)(1.0)
+    val raw  = new LocalGraph(n, offsets, nbrs, wgts, ones, selfLoop, ones)
+    repro.core.Compress.compress(raw, Array.range(0, n), n)
   }
 
   /** Build from unweighted undirected pairs. */

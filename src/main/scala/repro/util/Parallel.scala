@@ -48,36 +48,6 @@ object Parallel {
     futures.forEach(_.get()) // propagate exceptions
   }
 
-  /** Parallel map over `[0, n)` producing per-chunk results that are reduced
-    * with `combine`. Used for parallel aggregation (e.g. rebuilding cluster
-    * weights in the synchronous setting).
-    */
-  def mapReduceRange[A](n: Int, threads: Int = defaultThreads)(
-      zero: () => A)(body: (A, Int) => Unit)(combine: (A, A) => A): A = {
-    if (n <= 0) return zero()
-    if (threads <= 1 || n < 512) {
-      val acc = zero(); var i = 0; while (i < n) { body(acc, i); i += 1 }; acc
-    } else {
-      val chunks    = math.min(n, threads * 4)
-      val chunkSize = (n + chunks - 1) / chunks
-      val tasks     = new java.util.ArrayList[Callable[A]](chunks)
-      for (c <- 0 until chunks) tasks.add { () =>
-        val acc = zero()
-        val lo = c * chunkSize; val hi = math.min(n, lo + chunkSize)
-        var i = lo
-        while (i < hi) { body(acc, i); i += 1 }
-        acc
-      }
-      val futures = pool(threads).invokeAll(tasks)
-      var acc: Option[A] = None
-      futures.forEach { f =>
-        val a = f.get()
-        acc = Some(acc.fold(a)(combine(_, a)))
-      }
-      acc.get
-    }
-  }
-
   /** Shut down all cached pools (test hygiene; pools are daemon anyway). */
   def shutdown(): Unit = {
     pools.values.forEach { p => p.shutdown(); p.awaitTermination(1, TimeUnit.SECONDS) }

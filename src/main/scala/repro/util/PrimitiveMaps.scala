@@ -46,6 +46,12 @@ final class IntDoubleMap(initialCapacity: Int = 16) {
     default
   }
 
+  /** Key of the `i`-th inserted entry, 0 ≤ i < size (insertion order). */
+  def keyAt(i: Int): Int = keys(used(i))
+
+  /** Value of the `i`-th inserted entry, 0 ≤ i < size (insertion order). */
+  def valueAt(i: Int): Double = vals(used(i))
+
   /** Iterate entries (arbitrary order). */
   def foreachEntry(f: (Int, Double) => Unit): Unit = {
     var i = 0
@@ -60,8 +66,8 @@ final class IntDoubleMap(initialCapacity: Int = 16) {
   }
 }
 
-/** Open-addressing long→double map used for parallel graph compression
-  * (key = packed (srcCluster, dstCluster) pair). Growable; mergeable.
+/** Open-addressing long→double map keyed by packed (u, v) pairs, for
+  * triangle counting and brute-force objective checks. Growable.
   */
 final class LongDoubleMap(initialCapacity: Int = 64) {
   private var cap                 = Integer.highestOneBit(math.max(16, initialCapacity) * 2 - 1) << 1
@@ -112,18 +118,5 @@ final class LongDoubleMap(initialCapacity: Int = 64) {
       i = (i + 1) & mask
     }
     default
-  }
-
-  def foreachEntry(f: (Long, Double) => Unit): Unit = {
-    var i = 0
-    while (i < keys.length) {
-      if (keys(i) != -1L) f(keys(i), vals(i))
-      i += 1
-    }
-  }
-
-  /** Fold the other map into this one. */
-  def mergeFrom(other: LongDoubleMap): this.type = {
-    other.foreachEntry((k, v) => addTo(k, v)); this
   }
 }

@@ -103,4 +103,92 @@ class CompressSpec extends AnyFunSuite with Matchers {
     val comp  = TestGraphs.randomClustering(50, 7, 2)
     Compress.flatten(dense, comp, 8).toSeq shouldBe Compress.flatten(dense, comp, 1).toSeq
   }
+
+  /** Adjacency entries a→b with their weight bits; fails on a repeated entry. */
+  private def entryBits(g: LocalGraph): Map[(Int, Int), Long] = {
+    val es = for (a <- 0 until g.numVertices; i <- g.offsets(a) until g.offsets(a + 1))
+      yield (a, g.nbrs(i)) -> java.lang.Double.doubleToRawLongBits(g.wgts(i))
+    es.map(_._1).distinct.length shouldBe es.length
+    es.toMap
+  }
+
+  private def assertBitwiseSymmetric(g: LocalGraph): Unit = {
+    val bits = entryBits(g)
+    bits.foreach { case ((a, b), w) =>
+      a should not be b
+      bits.get((b, a)) shouldBe Some(w)
+    }
+  }
+
+  private def assertSameArrays(a: LocalGraph, b: LocalGraph): Unit = {
+    a.numVertices shouldBe b.numVertices
+    java.util.Arrays.equals(a.offsets, b.offsets) shouldBe true
+    java.util.Arrays.equals(a.nbrs, b.nbrs) shouldBe true
+    java.util.Arrays.equals(a.wgts, b.wgts) shouldBe true
+    java.util.Arrays.equals(a.selfLoop, b.selfLoop) shouldBe true
+    java.util.Arrays.equals(a.vertexWeight, b.vertexWeight) shouldBe true
+    java.util.Arrays.equals(a.sqWeight, b.sqWeight) shouldBe true
+  }
+
+  test("compressed weights are bitwise symmetric on non-integer weights") {
+    for (seed <- 1 to 8) {
+      val g  = TestGraphs.randomWeighted(120, 0.1, seed)
+      assertBitwiseSymmetric(g)
+      val cl = Objective.normalize(TestGraphs.randomClustering(120, 15, seed + 3))
+      for (threads <- Seq(1, 4)) assertBitwiseSymmetric(Compress.compress(g, cl, cl.max + 1, threads))
+    }
+  }
+
+  test("compression arrays are identical at 1 and 8 threads") {
+    for (seed <- 1 to 4) {
+      // More than 512 clusters, so the 8-thread run takes the chunked path.
+      val n  = 3000
+      val g  = TestGraphs.randomWeighted(n, 0.004, seed)
+      val cl = Objective.normalize(TestGraphs.randomClustering(n, 900, seed))
+      val nC = cl.max + 1
+      nC should be > 512
+      assertSameArrays(Compress.compress(g, cl, nC, threads = 1), Compress.compress(g, cl, nC, threads = 8))
+    }
+  }
+
+  test("skewed clustering: one giant cluster plus many singletons") {
+    // Vertex 0 is a hub tied to everyone; vertices below `giant` form one
+    // cluster, the other 700 stay singletons.
+    val n = 1200; val giant = 500
+    val base  = TestGraphs.randomWeighted(n, 0.01, 17).undirectedEdges
+    val g     = LocalGraph.fromEdges(n, base ++ (1 until n).map(v => (0, v, 0.3)))
+    val cl    = Array.tabulate(n)(v => if (v < giant) 0 else v - giant + 1)
+    val nC    = n - giant + 1
+    nC should be > 512
+    val seq = Compress.compress(g, cl, nC, threads = 1)
+    val par = Compress.compress(g, cl, nC, threads = 8)
+    assertSameArrays(seq, par)
+    assertBitwiseSymmetric(par)
+    par.degree(0) shouldBe nC - 1 // the hub row reaches every singleton
+    par.vertexWeight(0) shouldBe giant.toDouble
+    for (lambda <- Seq(0.01, 0.2, 0.7))
+      Objective.cc(par, Array.tabulate(nC)(identity), lambda) shouldBe Objective.cc(g, cl, lambda) +- 1e-8
+  }
+
+  test("duplicate edges and self-loops are merged by the builder and survive compression") {
+    val g = LocalGraph.fromEdges(5, Seq(
+      (0, 1, 0.5), (1, 0, 0.25), (2, 2, 1.0), (0, 1, 0.125), (2, 3, 1.0),
+      (3, 3, 2.0), (2, 2, 0.5), (3, 2, 0.1), (4, 0, 0.3), (0, 4, 0.3), (1, 2, 0.4), (2, 1, 1.0)))
+    g.numEdges shouldBe 4
+    g.selfLoop.toSeq shouldBe Seq(0.0, 0.0, 1.5, 2.0, 0.0)
+    assertBitwiseSymmetric(g)
+    val bits = entryBits(g).map { case (k, w) => k -> java.lang.Double.longBitsToDouble(w) }
+    bits((0, 1)) shouldBe 0.875 +- EPS
+    bits((2, 3)) shouldBe 1.1 +- EPS
+    bits((0, 4)) shouldBe 0.6 +- EPS
+    bits((1, 2)) shouldBe 1.4 +- EPS
+    val cl = Array(0, 0, 1, 1, 0)
+    val c  = Compress.compress(g, cl, 2, threads = 4)
+    c.numEdges shouldBe 1
+    c.wgts(c.offsets(0)) shouldBe 1.4 +- EPS
+    c.selfLoop(0) shouldBe 1.475 +- EPS
+    c.selfLoop(1) shouldBe 4.6 +- EPS
+    for (lambda <- Seq(0.1, 0.5))
+      Objective.cc(c, Array(0, 1), lambda) shouldBe Objective.bruteForce(g, cl, lambda) +- 1e-8
+  }
 }

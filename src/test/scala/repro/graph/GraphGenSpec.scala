@@ -82,4 +82,23 @@ class GraphGenSpec extends AnyFunSuite with Matchers {
     (1 to 5).foreach(g.degree(_) shouldBe 1)
     g.totalEdgeWeight shouldBe 2.5 +- 1e-12
   }
+
+  /** Order-independent fingerprint of the edge set: hash of the sorted list. */
+  private def edgeSetHash(g: LocalGraph): Long =
+    g.undirectedEdges.sortBy(e => (e._1, e._2)).foldLeft(1125899906842597L) { case (h, (u, v, w)) =>
+      ((h * 31 + u) * 31 + v) * 31 + java.lang.Double.doubleToLongBits(w)
+    }
+
+  test("generators reproduce their pinned edge sets") {
+    // The benchmark and bench graphs depend on these edge sets; a change to
+    // the CSR builder may reorder rows but must reproduce them exactly.
+    val r = GraphGen.rmat(12, 40_000, seed = 7)
+    r.numEdges shouldBe 34185L
+    r.totalEdgeWeight shouldBe 34185.0
+    edgeSetHash(r) shouldBe -7518208848257956699L
+    val a = GraphGen.presetSmall("amazon-lite").graph
+    a.numEdges shouldBe 6813L
+    a.totalEdgeWeight shouldBe 6813.0
+    edgeSetHash(a) shouldBe 5772713034880994937L
+  }
 }

@@ -27,22 +27,6 @@ class ParallelSpec extends AnyFunSuite with Matchers {
     an[Exception] should be thrownBy
       Parallel.forRange(10000, 4)(i => if (i == 5000) throw new IllegalStateException("boom"))
   }
-
-  test("mapReduceRange computes a parallel sum") {
-    val n = 100000
-    val total = Parallel.mapReduceRange[Array[Long]](n, 8)(() => Array(0L)) {
-      (acc, i) => acc(0) += i
-    } { (a, b) => a(0) += b(0); a }
-    total(0) shouldBe n.toLong * (n - 1) / 2
-  }
-
-  test("mapReduceRange sequential path matches parallel") {
-    val n = 5000
-    def run(threads: Int) = Parallel.mapReduceRange[Array[Double]](n, threads)(() => Array(0.0)) {
-      (acc, i) => acc(0) += math.sqrt(i.toDouble)
-    } { (a, b) => a(0) += b(0); a }
-    run(1)(0) shouldBe run(8)(0) +- 1e-6
-  }
 }
 
 class AtomicDoubleArraySpec extends AnyFunSuite with Matchers {
@@ -120,16 +104,5 @@ class PrimitiveMapsSpec extends AnyFunSuite with Matchers {
 
   test("LongDoubleMap rejects negative keys") {
     an[IllegalArgumentException] should be thrownBy new LongDoubleMap(4).addTo(-1L, 1.0)
-  }
-
-  test("LongDoubleMap mergeFrom combines values") {
-    val a = new LongDoubleMap(4); val b = new LongDoubleMap(4)
-    a.addTo(1L, 1.0); a.addTo(2L, 2.0)
-    b.addTo(2L, 3.0); b.addTo(9L, 9.0)
-    a.mergeFrom(b)
-    a.getOrElse(1L, 0) shouldBe 1.0
-    a.getOrElse(2L, 0) shouldBe 5.0
-    a.getOrElse(9L, 0) shouldBe 9.0
-    a.size shouldBe 3
   }
 }
