@@ -205,15 +205,14 @@ class T15WeightedKnnBench extends AnyFunSuite with Matchers {
 }
 
 class T16DataflowBench extends repro.SparkSpec with Matchers {
-  test("T16: DataFrame and GraphX Louvain vs shared-memory PAR-CC") {
+  test("T16: GraphX Louvain vs shared-memory PAR-CC") {
     val t = ExpDataflow.table(spark)
     t.print()
     t.rows should not be empty
-    // both dataflow ports reach a substantial fraction of the shared-memory
+    // the dataflow port reaches a substantial fraction of the shared-memory
     // objective
     t.rows.foreach { r =>
-      r(9).toDouble should be > 0.5  // DF-CC / PAR-CC
-      r(10).toDouble should be > 0.5 // GX-CC / PAR-CC
+      r(7).toDouble should be > 0.5 // GX-CC / PAR-CC
     }
   }
 }

@@ -9,16 +9,13 @@ import repro.experiments._
   *   spark-submit --class repro.jobs.T4Speedup target/scala-2.13/repro_2.13-*.jar
   *
   * The shared-memory experiments run on the driver (the paper's algorithms
-  * are shared-memory); T16 exercises the DataFrame dataflow port.
+  * are shared-memory); T16 exercises the GraphX dataflow port.
   */
 object JobUtil {
   def sparkSession(name: String): SparkSession =
     SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .config("spark.sql.optimizer.runtime.bloomFilter.enabled", false)
       .getOrCreate()
 }
 

@@ -29,6 +29,9 @@ object Frontier {
   * @param frontier  vertex-subset optimization (paper §3.2.2)
   * @param mode      async vs sync (paper §3.2.1; ignored by SeqLouvain)
   * @param threads   worker count (ignored by SeqLouvain)
+  * @param seed      orders SeqLouvain's BEST-MOVES passes; PAR-* never reads
+  *                  it, so its run-to-run variation comes only from thread
+  *                  races (none at `threads = 1`)
   * @param deadlineNanos  absolute System.nanoTime() deadline — lets benches
   *                  reproduce the paper's "timed out" entries gracefully
   */

@@ -13,9 +13,9 @@ import repro.graph.LocalGraph
   * each vertex aggregates edge weight per neighboring cluster, scores
   * candidate moves with the appendix-A delta against broadcast cluster
   * weights K_c, and a pseudo-random half of improvable vertices moves
-  * (symmetry breaking, as in `DataflowLouvain`). Levels end by contracting
-  * the graph with `reduceByKey` over cluster-id pairs and recursing; the
-  * assignment is flattened back through joins.
+  * (symmetry breaking). Levels end by contracting the graph with
+  * `reduceByKey` over cluster-id pairs and recursing; the assignment is
+  * flattened back through joins.
   *
   * K_c is broadcast as a map (clusters ≤ vertices; fine at container scale —
   * a billion-edge deployment would join against an RDD instead).

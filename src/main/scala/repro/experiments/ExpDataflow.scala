@@ -2,13 +2,13 @@ package repro.experiments
 
 import org.apache.spark.sql.SparkSession
 import repro.core._
-import repro.dataflow.{DataflowLouvain, GraphxLouvain, SparkGraphOps}
+import repro.dataflow.GraphxLouvain
 import repro.graph.GraphGen
 
-/** T16 — dataflow validation: the DataFrame Louvain (DF-CC) and the GraphX
-  * vertex-program Louvain (GX-CC) against the shared-memory PAR-CC on the
-  * same graphs: objective parity and running times. (Not a paper table;
-  * validates the distributed_dataflow port the repro brief asks for.)
+/** T16 — dataflow validation: the GraphX vertex-program Louvain (GX-CC)
+  * against the shared-memory PAR-CC on the same graphs: objective parity and
+  * running times. (Not a paper table; validates the distributed_dataflow port
+  * the repro brief asks for.)
   */
 object ExpDataflow {
 
@@ -18,31 +18,18 @@ object ExpDataflow {
     val rows = Seq.newBuilder[Seq[String]]
     for (scale <- scales; lambda <- lambdas) {
       val g = GraphGen.rmat(scale, (1 << scale) * 8L, seed = 5)
-      val edges = SparkGraphOps.edgesDf(spark, g).cache()
-      val verts = SparkGraphOps.verticesDf(spark, g).cache()
-      edges.count(); verts.count()
-      val (dfRes, tDf) = Timing.time(
-        DataflowLouvain.cluster(spark, edges, verts, lambda, numIter = 8, maxLevels = 6))
-      val dfCl = {
-        val m = dfRes.assignment.collect().map(r => r.getLong(0).toInt -> r.getLong(1).toInt).toMap
-        Array.tabulate(g.numVertices)(m)
-      }
       val (gxRes, tGx) = Timing.time(
         GraphxLouvain.cluster(spark, g, lambda, numIter = 8, maxLevels = 6))
       val (parRes, tPar) = Timing.time(ParLouvain.cluster(g, lambda, LouvainOptions(seed = 3)))
-      val oDf  = Objective.cc(g, dfCl, lambda)
       val oGx  = Objective.cc(g, gxRes.clusters, lambda)
       val oPar = Objective.cc(g, parRes.clusters, lambda)
       rows += Seq(s"rmat$scale", g.numEdges.toString, f"$lambda%.2f",
-        Timing.fmt(tDf), Timing.fmt(tGx), Timing.fmt(tPar),
-        f"$oDf%.4g", f"$oGx%.4g", f"$oPar%.4g",
-        f"${oDf / math.max(1e-12, oPar)}%.3f",
+        Timing.fmt(tGx), Timing.fmt(tPar),
+        f"$oGx%.4g", f"$oPar%.4g",
         f"${oGx / math.max(1e-12, oPar)}%.3f")
-      edges.unpersist(); verts.unpersist()
     }
-    Table("T16: DataFrame (DF-CC) and GraphX (GX-CC) Louvain vs shared-memory PAR-CC",
-      Seq("graph", "m", "lambda", "df_s", "gx_s", "par_s",
-          "df_obj", "gx_obj", "par_obj", "df/par_obj", "gx/par_obj"),
+    Table("T16: GraphX (GX-CC) Louvain vs shared-memory PAR-CC",
+      Seq("graph", "m", "lambda", "gx_s", "par_s", "gx_obj", "par_obj", "gx/par_obj"),
       rows.result())
   }
 }

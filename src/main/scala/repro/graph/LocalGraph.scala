@@ -78,7 +78,7 @@ final class LocalGraph(
     4L * offsets.length + 4L * nbrs.length + 8L * wgts.length +
       8L * vertexWeight.length + 8L * selfLoop.length + 8L * sqWeight.length
 
-  /** Undirected edge list (u < v), for Spark/DuckDB interop and tests. */
+  /** Undirected edge list (u < v), for Spark interop and tests. */
   def undirectedEdges: Seq[(Int, Int, Double)] = {
     val buf = Seq.newBuilder[(Int, Int, Double)]
     var u = 0

@@ -1,21 +1,16 @@
 package repro
 
 import org.apache.spark.sql.SparkSession
-import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * limit).
   */
-trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
+trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
-
-  override def afterAll(): Unit = { super.afterAll() }
 }
 
 object SparkSpec {
@@ -23,12 +18,6 @@ object SparkSpec {
     val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
-      .config("spark.sql.shuffle.partitions",
-              sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      // runtime bloom-filter injection walks size stats over every join; the
-      // iterative dataflow loops make that planner work pure overhead
-      .config("spark.sql.optimizer.runtime.bloomFilter.enabled", false)
       .getOrCreate()
     // One line in test output that tells the driver whether the cgroup
     // derivation saw the real limit (README § Spark target).

@@ -104,6 +104,11 @@ class FrameworkEdgeCasesSpec extends AnyFunSuite with Matchers {
     val res = ParLouvain.cluster(gt.graph, 0.3, LouvainOptions(threads = 1))
     res.clusters.length shouldBe 300
     Objective.cc(gt.graph, res.clusters, 0.3) should be > 0.0
+    // one worker leaves no races, so the schedule and the result are fixed
+    ParLouvain.cluster(gt.graph, 0.3, LouvainOptions(threads = 1)).clusters shouldBe res.clusters
+    // SEQ's only randomness is the seeded frontier order
+    val seq = SeqLouvain.cluster(gt.graph, 0.3, LouvainOptions(seed = 7)).clusters
+    SeqLouvain.cluster(gt.graph, 0.3, LouvainOptions(seed = 7)).clusters shouldBe seq
   }
 
   test("cluster sizes from CC at moderate lambda roughly track planted sizes") {
