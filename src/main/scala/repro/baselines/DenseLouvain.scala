@@ -1,6 +1,7 @@
 package repro.baselines
 
 import java.util.SplittableRandom
+import repro.core.{FrontierOps, Objective}
 import repro.graph.LocalGraph
 
 /** LAMBDACC-MATLAB stand-in (Veldt et al.'s proof-of-concept, §C.1).
@@ -50,22 +51,21 @@ object DenseLouvain {
     while (movedAny && pass < maxPasses) {
       movedAny = false
       pass += 1
-      val perm = Array.tabulate(n)(identity)
-      var i = n - 1
-      while (i > 0) { val j = rng.nextInt(i + 1); val t = perm(i); perm(i) = perm(j); perm(j) = t; i -= 1 }
+      val perm = FrontierOps.all(n)
+      FrontierOps.shuffle(perm, rng)
       perm.foreach { v =>
         val c = cluster(v)
         // Θ(n) dense scan: edge weight from v to every cluster.
         val wTo = new Array[Double](n)
         var x = 0
         while (x < n) { if (x != v) wTo(cluster(x)) += a(v)(x); x += 1 }
-        val removeGain = -(wTo(c) - lambda * k(v) * (kC(c) - k(v)))
+        val removeGain = Objective.moveDelta(k(v), lambda, wTo(c), kC(c), 0.0, 0.0)
         var bestDelta  = 0.0
         var bestT      = c
         var c2 = 0
         while (c2 < n) {
           if (c2 != c && size(c2) > 0) {
-            val d = removeGain + wTo(c2) - lambda * k(v) * kC(c2)
+            val d = Objective.moveDelta(k(v), lambda, wTo(c), kC(c), wTo(c2), kC(c2))
             if (d > bestDelta + 1e-11) { bestDelta = d; bestT = c2 }
           } else if (c2 != c && size(c2) == 0 && removeGain > bestDelta + 1e-11 && size(c) > 1) {
             bestDelta = removeGain; bestT = c2
@@ -82,7 +82,7 @@ object DenseLouvain {
     }
     if (!movedThisLevel) return cluster
     // Dense contraction: Θ(n²).
-    val dense = repro.core.Objective.normalize(cluster)
+    val dense = Objective.normalize(cluster)
     val nC    = dense.max + 1
     if (nC == n) return cluster
     val a2 = Array.ofDim[Double](nC, nC)

@@ -16,17 +16,8 @@ import repro.graph.LocalGraph
   */
 object PlmBaseline extends LouvainEngine {
 
-  /** PLM-style modularity clustering (async moves, sequential compression). */
-  def clusterModularity(g: LocalGraph, gamma: Double,
-                        opts: LouvainOptions = LouvainOptions(numIter = 32, refine = false)): LouvainResult = {
-    val w = g.totalEdgeWeight
-    LouvainDriver.run(g.withDegreeWeights, gamma / (2 * w), opts, this)
-  }
-
-  /** CC-objective variant, for completeness of the framework. */
-  def cluster(g: LocalGraph, lambda: Double,
-              opts: LouvainOptions = LouvainOptions(numIter = 32, refine = false)): LouvainResult =
-    LouvainDriver.run(g, lambda, opts, this)
+  /** NetworKit's defaults: 32 passes per level, no refinement. */
+  override protected def defaultOptions: LouvainOptions = LouvainOptions(numIter = 32, refine = false)
 
   override def bestMoves(g: LocalGraph, lambda: Double, opts: LouvainOptions,
                          rng: SplittableRandom, init: Array[Int]): BestMovesResult =

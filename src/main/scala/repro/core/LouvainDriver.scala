@@ -1,6 +1,7 @@
 package repro.core
 
 import java.util.SplittableRandom
+import java.util.concurrent.atomic.AtomicIntegerArray
 import repro.graph.LocalGraph
 import repro.util.Parallel
 import scala.collection.mutable.ArrayBuffer
@@ -25,6 +26,19 @@ private[repro] trait LouvainEngine {
                 rng: SplittableRandom, init: Array[Int]): BestMovesResult
   /** Threads used for compression/flatten (1 ⇒ sequential subroutines). */
   def compressionThreads(opts: LouvainOptions): Int
+  /** Options a caller of `cluster`/`clusterModularity` gets by default. */
+  protected def defaultOptions: LouvainOptions = LouvainOptions()
+
+  /** Cluster `g` for the CC objective at resolution `lambda` (k_v from `g`). */
+  def cluster(g: LocalGraph, lambda: Double, opts: LouvainOptions = defaultOptions): LouvainResult =
+    LouvainDriver.run(g, lambda, opts, this)
+
+  /** Modularity clustering (the -MOD variants): k_v = d_v, λ = γ/(2W). */
+  def clusterModularity(g: LocalGraph, gamma: Double,
+                        opts: LouvainOptions = defaultOptions): LouvainResult = {
+    val w = g.totalEdgeWeight
+    LouvainDriver.run(g.withDegreeWeights, gamma / (2 * w), opts, this)
+  }
 }
 
 private[repro] object LouvainDriver {
@@ -78,34 +92,29 @@ private[repro] object LouvainDriver {
   }
 }
 
-/** Frontier construction shared by the sequential and parallel engines
-  * (paper §3.2.2). Marks arrays are caller-owned and reused across passes.
+/** Frontier construction for BEST-MOVES (paper §3.2.2). Mark arrays are
+  * caller-owned and reused across passes.
   */
 private[repro] object FrontierOps {
 
-  /** V' = neighbors of vertices moved in the previous pass. */
-  def nbrsOfVertices(g: LocalGraph, moved: ArrayBuffer[Int],
-                     mark: Array[Boolean], threads: Int): Array[Int] = {
-    java.util.Arrays.fill(mark, false)
-    val mv = moved.toArray
-    Parallel.forRange(mv.length, threads) { i =>
-      val v = mv(i)
-      var j = g.offsets(v)
-      while (j < g.offsets(v + 1)) { mark(g.nbrs(j)) = true; j += 1 }
-    }
-    collect(mark)
-  }
+  /** V' = neighbors of the vertices flagged in `moved` by the previous pass. */
+  def nbrsOfVertices(g: LocalGraph, moved: Array[Boolean],
+                     mark: Array[Boolean], threads: Int): Array[Int] =
+    nbrsWhere(g, mark, threads)(moved(_))
 
   /** V' = neighbors of clusters affected by the previous pass's moves (union
     * of source and destination clusters — categories (b) and (c) of §3.2.2).
     */
-  def nbrsOfClusters(g: LocalGraph, cluster: Int => Int,
+  def nbrsOfClusters(g: LocalGraph, cluster: AtomicIntegerArray,
                      affectedClusters: Array[Boolean],
-                     mark: Array[Boolean], threads: Int): Array[Int] = {
+                     mark: Array[Boolean], threads: Int): Array[Int] =
+    nbrsWhere(g, mark, threads)(v => affectedClusters(cluster.get(v)))
+
+  /** Ascending neighbors of the vertices `v` with `pick(v)`. */
+  private def nbrsWhere(g: LocalGraph, mark: Array[Boolean], threads: Int)(pick: Int => Boolean): Array[Int] = {
     java.util.Arrays.fill(mark, false)
-    val n = g.numVertices
-    Parallel.forRange(n, threads) { v =>
-      if (affectedClusters(cluster(v))) {
+    Parallel.forRange(g.numVertices, threads) { v =>
+      if (pick(v)) {
         var j = g.offsets(v)
         while (j < g.offsets(v + 1)) { mark(g.nbrs(j)) = true; j += 1 }
       }

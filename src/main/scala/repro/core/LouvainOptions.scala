@@ -27,8 +27,8 @@ object Frontier {
   *                  convergence — the paper's ^CON superscript)
   * @param refine    multi-level refinement (paper §3.2.3)
   * @param frontier  vertex-subset optimization (paper §3.2.2)
-  * @param mode      async vs sync (paper §3.2.1; ignored by SeqLouvain)
-  * @param threads   worker count (ignored by SeqLouvain)
+  * @param mode      async vs sync (paper §3.2.1; fixed to Async by SeqLouvain)
+  * @param threads   worker count (fixed to 1 by SeqLouvain)
   * @param seed      orders SeqLouvain's BEST-MOVES passes; PAR-* never reads
   *                  it, so its run-to-run variation comes only from thread
   *                  races (none at `threads = 1`)

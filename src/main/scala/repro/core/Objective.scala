@@ -96,11 +96,12 @@ object Objective {
   /** Appendix-A move delta: change in CC from moving v from cluster c (which
     * contains v, total weight `kC`) to cluster c2 (total weight `kC2`,
     * excluding v). `wToC`/`wToC2` are v's edge weights into each cluster.
+    * Every engine scores moves with it; detaching v is `wToC2 = kC2 = 0`.
     */
   @inline def moveDelta(kV: Double, lambda: Double,
                         wToC: Double, kC: Double,
                         wToC2: Double, kC2: Double): Double =
-    (wToC2 - lambda * kV * kC2) - (wToC - lambda * kV * kC + lambda * kV * kV)
+    -(wToC - lambda * kV * (kC - kV)) + wToC2 - lambda * kV * kC2
 
   /** Renumber non-negative cluster ids to dense [0, #clusters), in order of
     * first appearance. Relabels through an array of size max id + 1.

@@ -4,7 +4,6 @@ import java.util.SplittableRandom
 import java.util.concurrent.atomic.{AtomicIntegerArray, LongAdder}
 import repro.graph.LocalGraph
 import repro.util.{AtomicDoubleArray, IntDoubleMap, Parallel}
-import scala.collection.mutable.ArrayBuffer
 
 /** PARALLEL-CC (paper Alg. 1): the shared-memory parallel Louvain relaxation.
   *
@@ -16,36 +15,33 @@ import scala.collection.mutable.ArrayBuffer
   * moves are computed against a frozen snapshot and applied together, after
   * which cluster weights are rebuilt by parallel aggregation; this reproduces
   * the Figure-1 pathology (vertices oscillating into each other's clusters).
+  * `SeqLouvain` runs this BEST-MOVES body at one thread, async, seeded order.
   */
 object ParLouvain extends LouvainEngine {
 
   private val Eps = 1e-11
 
-  def cluster(g: LocalGraph, lambda: Double, opts: LouvainOptions = LouvainOptions()): LouvainResult =
-    LouvainDriver.run(g, lambda, opts, this)
-
-  /** PAR-MOD: modularity via the k=d, λ=γ/2W reduction (paper §2). */
-  def clusterModularity(g: LocalGraph, gamma: Double,
-                        opts: LouvainOptions = LouvainOptions()): LouvainResult = {
-    val w = g.totalEdgeWeight
-    LouvainDriver.run(g.withDegreeWeights, gamma / (2 * w), opts, this)
-  }
-
   override def compressionThreads(opts: LouvainOptions): Int = opts.threads
 
   override def bestMoves(
       g: LocalGraph, lambda: Double, opts: LouvainOptions,
-      rng: SplittableRandom, init: Array[Int]): BestMovesResult = {
+      rng: SplittableRandom, init: Array[Int]): BestMovesResult =
+    run(g, lambda, opts, init, order = None)
+
+  /** BEST-MOVES on one level. With `order`, each pass first visits the
+    * frontier in a fresh permutation drawn from it (SEQUENTIAL-CC's σ).
+    */
+  private[core] def run(
+      g: LocalGraph, lambda: Double, opts: LouvainOptions,
+      init: Array[Int], order: Option[SplittableRandom]): BestMovesResult = {
     val n       = g.numVertices
     val threads = opts.threads
     val cluster = new AtomicIntegerArray(2 * n) // only [0,n) used as indices
+    val kOf     = g.vertexWeight
+    val kC      = new AtomicDoubleArray(2 * n)  // cluster weight; ids ≥ n are detach spares
+    val size    = new AtomicIntegerArray(2 * n)
     var v = 0
-    while (v < n) { cluster.set(v, init(v)); v += 1 }
-    val kOf  = g.vertexWeight
-    val kC   = new AtomicDoubleArray(2 * n)
-    val size = new AtomicIntegerArray(2 * n)
-    v = 0
-    while (v < n) { kC.add(init(v), kOf(v)); size.incrementAndGet(init(v)); v += 1 }
+    while (v < n) { cluster.set(v, init(v)); kC.add(init(v), kOf(v)); size.incrementAndGet(init(v)); v += 1 }
 
     // Per-thread scratch map for the neighbor-cluster aggregation.
     val tlMap = ThreadLocal.withInitial[IntDoubleMap](() => new IntDoubleMap(64))
@@ -59,25 +55,29 @@ object ParLouvain extends LouvainEngine {
     var timedOut   = false
     var break      = false
 
-    /** Best target for `u` under the current (possibly racy) snapshot. */
+    /** Best target for `u` under one (possibly racy) read of its cluster's weight. */
     def bestTarget(u: Int): Int = {
-      val c  = cluster.get(u)
-      val kU = kOf(u)
+      val c   = cluster.get(u)
+      val kU  = kOf(u)
+      val kCc = kC.get(c)
       val map = tlMap.get()
       map.clear()
       var i = g.offsets(u)
       while (i < g.offsets(u + 1)) { map.addTo(cluster.get(g.nbrs(i)), g.wgts(i)); i += 1 }
-      val wToC       = map.getOrElse(c, 0.0)
-      val removeGain = -(wToC - lambda * kU * (kC.get(c) - kU))
-      var bestDelta  = 0.0
-      var bestT      = c
-      map.foreachEntry { (c2, w2) =>
+      val wToC      = map.getOrElse(c, 0.0)
+      var bestDelta = 0.0
+      var bestT     = c
+      var e = 0
+      while (e < map.size) {
+        val c2 = map.keyAt(e)
         if (c2 != c) {
-          val d = removeGain + w2 - lambda * kU * kC.get(c2)
+          val d = Objective.moveDelta(kU, lambda, wToC, kCc, map.valueAt(e), kC.get(c2))
           if (d > bestDelta + Eps) { bestDelta = d; bestT = c2 }
         }
+        e += 1
       }
-      if (size.get(c) > 1 && removeGain > bestDelta + Eps) bestT = n + u
+      if (size.get(c) > 1 && Objective.moveDelta(kU, lambda, wToC, kCc, 0.0, 0.0) > bestDelta + Eps)
+        bestT = n + u
       bestT
     }
 
@@ -93,6 +93,7 @@ object ParLouvain extends LouvainEngine {
       if (System.nanoTime() > opts.deadlineNanos) { timedOut = true; break = true }
       else {
         passes += 1
+        order.foreach(FrontierOps.shuffle(frontier, _))
         java.util.Arrays.fill(movedFlag, false)
         if (opts.frontier == Frontier.NbrsOfClusters) java.util.Arrays.fill(affected, false)
         val movedCount = new LongAdder
@@ -133,14 +134,9 @@ object ParLouvain extends LouvainEngine {
         else {
           anyMoved = true
           frontier = opts.frontier match {
-            case Frontier.AllVertices => FrontierOps.all(n)
-            case Frontier.NbrsOfVertices =>
-              val moved = ArrayBuffer.empty[Int]
-              var i = 0
-              while (i < n) { if (movedFlag(i)) moved += i; i += 1 }
-              FrontierOps.nbrsOfVertices(g, moved, mark, threads)
-            case Frontier.NbrsOfClusters =>
-              FrontierOps.nbrsOfClusters(g, cluster.get(_), affected, mark, threads)
+            case Frontier.AllVertices    => FrontierOps.all(n)
+            case Frontier.NbrsOfVertices => FrontierOps.nbrsOfVertices(g, movedFlag, mark, threads)
+            case Frontier.NbrsOfClusters => FrontierOps.nbrsOfClusters(g, cluster, affected, mark, threads)
           }
         }
       }

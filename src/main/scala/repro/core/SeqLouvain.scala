@@ -2,101 +2,23 @@ package repro.core
 
 import java.util.SplittableRandom
 import repro.graph.LocalGraph
-import repro.util.IntDoubleMap
-import scala.collection.mutable.ArrayBuffer
 
 /** SEQUENTIAL-CC (paper Alg. 2): classic Louvain adapted to the LambdaCC
   * objective. Moves are applied one vertex at a time over a fresh random
   * permutation each pass; a level converges when a pass makes no move (the
   * "while CC(C) has increased" loop) or after `opts.numIter` passes.
   *
-  * The paper's SEQ baselines include the applicable §4.1 optimizations
-  * (frontier restriction, refinement); both are honored from `opts`.
+  * That is PARALLEL-CC's BEST-MOVES body run at one thread, async, over the
+  * driver's seeded permutation. The paper's SEQ baselines include the
+  * applicable §4.1 optimizations (frontier restriction, refinement); both are
+  * honored from `opts`.
   */
 object SeqLouvain extends LouvainEngine {
-
-  private val Eps = 1e-11
-
-  /** Cluster `g` for the CC objective at resolution `lambda` (k_v from `g`). */
-  def cluster(g: LocalGraph, lambda: Double, opts: LouvainOptions = LouvainOptions()): LouvainResult =
-    LouvainDriver.run(g, lambda, opts, this)
-
-  /** Modularity clustering (SEQ-MOD): k_v = d_v, λ = γ/(2W). */
-  def clusterModularity(g: LocalGraph, gamma: Double,
-                        opts: LouvainOptions = LouvainOptions()): LouvainResult = {
-    val w = g.totalEdgeWeight
-    LouvainDriver.run(g.withDegreeWeights, gamma / (2 * w), opts, this)
-  }
 
   override def compressionThreads(opts: LouvainOptions): Int = 1
 
   override def bestMoves(
       g: LocalGraph, lambda: Double, opts: LouvainOptions,
-      rng: SplittableRandom, init: Array[Int]): BestMovesResult = {
-    val n = g.numVertices
-    val cluster = new Array[Int](n)
-    System.arraycopy(init, 0, cluster, 0, n)
-    val kOf  = g.vertexWeight
-    val kC   = new Array[Double](2 * n) // cluster weight; ids ≥ n are detach spares
-    val size = new Array[Int](2 * n)
-    var v = 0
-    while (v < n) { kC(cluster(v)) += kOf(v); size(cluster(v)) += 1; v += 1 }
-
-    val map      = new IntDoubleMap(64)
-    val mark     = new Array[Boolean](n)
-    val affected = new Array[Boolean](2 * n)
-    var frontier = FrontierOps.all(n)
-    var passes   = 0
-    var anyMoved = false
-    var timedOut = false
-    var break    = false
-
-    while (!break && passes < opts.numIter && frontier.nonEmpty) {
-      if (System.nanoTime() > opts.deadlineNanos) { timedOut = true; break = true }
-      else {
-        passes += 1
-        FrontierOps.shuffle(frontier, rng)
-        val moved = ArrayBuffer.empty[Int]
-        if (opts.frontier == Frontier.NbrsOfClusters) java.util.Arrays.fill(affected, false)
-        var fi = 0
-        while (fi < frontier.length) {
-          val u  = frontier(fi)
-          val c  = cluster(u)
-          val kU = kOf(u)
-          map.clear()
-          var i = g.offsets(u)
-          while (i < g.offsets(u + 1)) { map.addTo(cluster(g.nbrs(i)), g.wgts(i)); i += 1 }
-          val wToC       = map.getOrElse(c, 0.0)
-          val removeGain = -(wToC - lambda * kU * (kC(c) - kU))
-          var bestDelta  = 0.0
-          var bestT      = c
-          map.foreachEntry { (c2, w2) =>
-            if (c2 != c) {
-              val d = removeGain + w2 - lambda * kU * kC(c2)
-              if (d > bestDelta + Eps) { bestDelta = d; bestT = c2 }
-            }
-          }
-          if (size(c) > 1 && removeGain > bestDelta + Eps) { bestDelta = removeGain; bestT = n + u }
-          if (bestT != c) {
-            cluster(u) = bestT
-            kC(c) -= kU; kC(bestT) += kU
-            size(c) -= 1; size(bestT) += 1
-            moved += u
-            if (opts.frontier == Frontier.NbrsOfClusters) { affected(c) = true; affected(bestT) = true }
-          }
-          fi += 1
-        }
-        if (moved.isEmpty) break = true // converged at this level
-        else {
-          anyMoved = true
-          frontier = opts.frontier match {
-            case Frontier.AllVertices    => FrontierOps.all(n)
-            case Frontier.NbrsOfVertices => FrontierOps.nbrsOfVertices(g, moved, mark, 1)
-            case Frontier.NbrsOfClusters => FrontierOps.nbrsOfClusters(g, cluster(_), affected, mark, 1)
-          }
-        }
-      }
-    }
-    BestMovesResult(cluster, passes, anyMoved, timedOut)
-  }
+      rng: SplittableRandom, init: Array[Int]): BestMovesResult =
+    ParLouvain.run(g, lambda, opts.copy(threads = 1, mode = MoveMode.Async), init, Some(rng))
 }

@@ -3,6 +3,7 @@ package repro.dataflow
 import org.apache.spark.graphx.{Edge, Graph, TripletFields, VertexId}
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
+import repro.core.Objective
 import repro.graph.LocalGraph
 
 /** GX-CC: the LambdaCC Louvain scheme as GraphX vertex programs (the repro
@@ -125,12 +126,12 @@ object GraphxLouvain {
         val kcMap = kcB.value
         val wToC = wTo.getOrElse(cid, 0.0)
         val kCur = kcMap.getOrElse(cid, k)
-        val removeGain = -(wToC - lambda * k * (kCur - k))
+        val removeGain = Objective.moveDelta(k, lambda, wToC, kCur, 0.0, 0.0)
         var bestDelta = 1e-11
         var bestT = cid
         wTo.foreach { case (c2, w2) =>
           if (c2 != cid) {
-            val d = removeGain + w2 - lambda * k * kcMap.getOrElse(c2, 0.0)
+            val d = Objective.moveDelta(k, lambda, wToC, kCur, w2, kcMap.getOrElse(c2, 0.0))
             if (d > bestDelta) { bestDelta = d; bestT = c2 }
           }
         }

@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalatest.matchers.should.Matchers
 import repro.TestGraphs
+import repro.baselines.PlmBaseline
 import repro.graph.{GraphGen, LocalGraph}
 
 class SeqLouvainSpec extends AnyFunSuite with Matchers {
@@ -126,5 +127,38 @@ class SeqLouvainSpec extends AnyFunSuite with Matchers {
     res.numLevels should be >= 1
     res.retainedBytesAllLevels should be >= res.peakBytesNoRefine / 2
     res.retainedBytesAllLevels should be > gt.graph.sizeInBytes
+  }
+
+  test("pinned outputs: SEQ, PAR at one thread and PLM at one thread do not drift") {
+    // None of these runs race, so their labels are fixed; any change to the
+    // move kernel, the frontier or compression that alters a result fails here.
+    val g = GraphGen.sbm(1500, 10, 50, 8, 2, seed = 11).graph
+    def pin(r: LouvainResult): (Int, Int) = (java.util.Arrays.hashCode(r.clusters), r.numIterations)
+    val got = Seq.newBuilder[(String, (Int, Int))]
+    for (l <- Seq(0.05, 0.5)) {
+      for (f <- Seq(Frontier.AllVertices, Frontier.NbrsOfClusters, Frontier.NbrsOfVertices))
+        got += s"seq $l $f" -> pin(SeqLouvain.cluster(g, l, LouvainOptions(frontier = f, seed = 3)))
+      for (m <- Seq(MoveMode.Async, MoveMode.Sync))
+        got += s"par1 $l $m" -> pin(ParLouvain.cluster(g, l, LouvainOptions(mode = m, threads = 1)))
+    }
+    got += "seq-mod 1.0" -> pin(SeqLouvain.clusterModularity(g, 1.0, LouvainOptions(seed = 3)))
+    got += "plm1-mod 1.0" ->
+      pin(PlmBaseline.clusterModularity(g, 1.0, LouvainOptions(numIter = 32, refine = false, threads = 1)))
+    // recorded before SEQ's move loop was merged into PAR's
+    val expected = Seq[(String, (Int, Int))](
+      "seq 0.05 AllVertices"     -> (1413137492, 17),
+      "seq 0.05 NbrsOfClusters"  -> (1413137492, 18),
+      "seq 0.05 NbrsOfVertices"  -> (1413137492, 17),
+      "par1 0.05 Async"          -> (1413137492, 17),
+      "par1 0.05 Sync"           -> (-1009257743, 70),
+      "seq 0.5 AllVertices"      -> (-1979924885, 13),
+      "seq 0.5 NbrsOfClusters"   -> (1042017088, 12),
+      "seq 0.5 NbrsOfVertices"   -> (1042017088, 13),
+      "par1 0.5 Async"           -> (1891801917, 14),
+      "par1 0.5 Sync"            -> (-1711588034, 90),
+      "seq-mod 1.0"              -> (410895665, 21),
+      "plm1-mod 1.0"             -> (2058818528, 24),
+    )
+    got.result() shouldBe expected
   }
 }
