@@ -45,10 +45,7 @@ class T2T3OptimizationBench extends AnyFunSuite with Matchers {
 
 class T4SpeedupBench extends AnyFunSuite with Matchers {
   test("T4+T5: PAR over SEQ speedups and iteration ratios (Figs 4/5)") {
-    val rows = ExpSpeedup.measure(
-      graphs = BenchGraphs.standIns.map(_._2),
-      resolutions = Seq(0.01, 0.25, 0.75, 0.95),
-      seqDeadlineSec = 90.0)
+    val rows = ExpSpeedup.measure()
     ExpSpeedup.speedupTable(rows).print()
     ExpSpeedup.iterTable(rows).print()
     val cc = rows.filter(r => r.alg == "CC" && !r.seqTimedOut)
@@ -57,7 +54,7 @@ class T4SpeedupBench extends AnyFunSuite with Matchers {
     // objective (0.95–1.08x).
     cc.count(_.speedup > 1.0) should be >= cc.length / 2
     cc.foreach(r => r.objRatio shouldBe 1.0 +- 0.25)
-    val t4b = ExpSpeedup.convergenceTable(Seq("amazon-lite", "dblp-lite"), Seq(0.05, 0.5))
+    val t4b = ExpSpeedup.convergenceTable()
     t4b.print()
     t4b.rows.length shouldBe 4
   }
@@ -80,9 +77,7 @@ class T6RmatScalingBench extends AnyFunSuite with Matchers {
 
 class T7ThreadScalingBench extends AnyFunSuite with Matchers {
   test("T7: thread scaling (Fig 7/13)") {
-    val t = ExpThreads.table(
-      graphs = Seq("amazon-lite", "orkut-lite", "twitter-lite", "friendster-lite"),
-      lambdas = Seq(0.01, 0.85), threads = Seq(1, 2, 4, 8, 16))
+    val t = ExpThreads.table()
     t.print()
     t.rows.length shouldBe 20 // 4 presets + large rMAT, x 2 lambdas x 2 algs
     // Paper shape: real self-relative speedups at full parallelism on most rows.

@@ -20,8 +20,10 @@ object DenseLouvain {
     */
   val MaxFeasibleVertices = 20000
 
-  def cluster(g: LocalGraph, lambda: Double, seed: Long = 1,
-              maxPasses: Int = 100): Array[Int] = {
+  /** BEST-MOVES passes per level. */
+  private val MaxPasses = 100
+
+  def cluster(g: LocalGraph, lambda: Double, seed: Long = 1): Array[Int] = {
     require(g.numVertices <= MaxFeasibleVertices,
       s"dense baseline infeasible beyond $MaxFeasibleVertices vertices (paper §C.1)")
     val n = g.numVertices
@@ -33,14 +35,12 @@ object DenseLouvain {
       while (i < g.offsets(u + 1)) { a(u)(g.nbrs(i)) = g.wgts(i); i += 1 }
       u += 1
     }
-    val k   = g.vertexWeight.clone()
-    val out = denseLevel(a, k, lambda, new SplittableRandom(seed), maxPasses)
-    out
+    denseLevel(a, g.vertexWeight.clone(), lambda, new SplittableRandom(seed))
   }
 
   /** One full dense Louvain level + recursion on the contracted dense matrix. */
   private def denseLevel(a: Array[Array[Double]], k: Array[Double], lambda: Double,
-                         rng: SplittableRandom, maxPasses: Int): Array[Int] = {
+                         rng: SplittableRandom): Array[Int] = {
     val n       = a.length
     val cluster = Array.tabulate(n)(identity)
     val kC      = k.clone()
@@ -48,7 +48,7 @@ object DenseLouvain {
     var pass    = 0
     var movedAny = true
     var movedThisLevel = false
-    while (movedAny && pass < maxPasses) {
+    while (movedAny && pass < MaxPasses) {
       movedAny = false
       pass += 1
       val perm = FrontierOps.all(n)
@@ -97,7 +97,7 @@ object DenseLouvain {
       }
       u += 1
     }
-    val sub = denseLevel(a2, k2, lambda, rng, maxPasses)
+    val sub = denseLevel(a2, k2, lambda, rng)
     Array.tabulate(n)(v => sub(dense(v)))
   }
 }

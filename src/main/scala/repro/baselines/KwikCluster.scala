@@ -62,20 +62,12 @@ object KwikCluster {
   /** C4: serializable parallel pivoting; output equals `sequential` on the
     * same priority permutation.
     */
-  def c4(g: LocalGraph, seed: Long = 1, threads: Int = Parallel.defaultThreads): Array[Int] =
-    parallelPivot(g, seed, threads, serializable = true)
+  def c4(g: LocalGraph, seed: Long = 1): Array[Int] =
+    c4LexMis(g, randomPriority(g.numVertices, seed))
 
   /** ClusterWild!: conflict-oblivious parallel pivoting. */
-  def clusterWild(g: LocalGraph, seed: Long = 1, threads: Int = Parallel.defaultThreads): Array[Int] =
-    parallelPivot(g, seed, threads, serializable = false)
-
-  private def parallelPivot(g: LocalGraph, seed: Long, threads: Int,
-                            serializable: Boolean): Array[Int] = {
-    val n = g.numVertices
-    // priority = position in a random permutation (lower = earlier pivot)
-    val prio = randomPriority(n, seed)
-    if (serializable) c4LexMis(g, prio, threads) else wildRounds(g, prio, threads)
-  }
+  def clusterWild(g: LocalGraph, seed: Long = 1): Array[Int] =
+    wildRounds(g, randomPriority(g.numVertices, seed))
 
   /** C4: sequential KwikCluster on π equals the lexicographically-first MIS
     * over priorities (pivots) + attaching every non-pivot to its
@@ -83,13 +75,13 @@ object KwikCluster {
     * parallel fixpoint (states only move undecided→IN/OUT and every decision
     * is forced, so intra-round races are benign).
     */
-  private def c4LexMis(g: LocalGraph, prio: Array[Int], threads: Int): Array[Int] = {
+  private def c4LexMis(g: LocalGraph, prio: Array[Int]): Array[Int] = {
     val n = g.numVertices
     val Undecided = 0; val In = 1; val Out = 2
     val state = new AtomicIntegerArray(n)
     var remaining = n
     while (remaining > 0) {
-      Parallel.forRange(n, threads) { v =>
+      Parallel.forRange(n) { v =>
         if (state.get(v) == Undecided) {
           var anyIn = false; var allDecided = true
           var e = g.offsets(v)
@@ -113,7 +105,7 @@ object KwikCluster {
       remaining = rem
     }
     val cluster = new Array[Int](n)
-    Parallel.forRange(n, threads) { v =>
+    Parallel.forRange(n) { v =>
       if (state.get(v) == In) cluster(v) = v
       else {
         var best = -1; var bestP = Int.MaxValue
@@ -132,14 +124,14 @@ object KwikCluster {
   /** ClusterWild!: rounds of local-minimum pivots; unclustered neighbors grab
     * any adjacent pivot immediately, ignoring serialization conflicts.
     */
-  private def wildRounds(g: LocalGraph, prio: Array[Int], threads: Int): Array[Int] = {
+  private def wildRounds(g: LocalGraph, prio: Array[Int]): Array[Int] = {
     val n = g.numVertices
     val cluster = new AtomicIntegerArray(n)
     (0 until n).foreach(cluster.set(_, -1))
     var remaining = n
     while (remaining > 0) {
       val isPivot = new Array[Boolean](n)
-      Parallel.forRange(n, threads) { v =>
+      Parallel.forRange(n) { v =>
         if (cluster.get(v) == -1) {
           var minP = prio(v)
           var e = g.offsets(v)
@@ -151,8 +143,8 @@ object KwikCluster {
           if (minP == prio(v)) isPivot(v) = true
         }
       }
-      Parallel.forRange(n, threads)(v => if (isPivot(v)) cluster.set(v, v))
-      Parallel.forRange(n, threads) { v =>
+      Parallel.forRange(n)(v => if (isPivot(v)) cluster.set(v, v))
+      Parallel.forRange(n) { v =>
         if (cluster.get(v) == -1) {
           var e = g.offsets(v)
           var done = false

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.graph.{LocalGraph, Triangles}
-import repro.util.{IntDoubleMap, Parallel}
+import repro.util.IntDoubleMap
 
 /** SCD-lite — stand-in for SCD (Prat-Pérez et al., WWW'14), the parallel
   * triangle-based community detector the paper compares against in §C.1.
@@ -21,10 +21,12 @@ import repro.util.{IntDoubleMap, Parallel}
   */
 object Scd {
 
-  def cluster(g: LocalGraph, refinePasses: Int = 3,
-              threads: Int = Parallel.defaultThreads): Array[Int] = {
+  /** Hill-climbing passes after seeding (fewer if a pass moves nothing). */
+  private val RefinePasses = 3
+
+  def cluster(g: LocalGraph): Array[Int] = {
     val n  = g.numVertices
-    val tc = Triangles.count(g, threads)
+    val tc = Triangles.count(g)
     val cc = Triangles.clusteringCoefficients(g, tc)
 
     // --- Phase 1: triangle-guided seeding (sequential greedy, as in SCD). ---
@@ -49,7 +51,7 @@ object Scd {
     comm.foreach(size(_) += 1)
     val map = new IntDoubleMap(64)
     var pass = 0
-    while (pass < refinePasses) {
+    while (pass < RefinePasses) {
       var moved = false
       var v = 0
       while (v < n) {
@@ -60,11 +62,14 @@ object Scd {
         val eCur    = map.getOrElse(cur, 0.0)
         var bestS   = score(eCur, size(cur) - 1) // own community without v
         var bestC   = cur
-        map.foreachEntry { (c, e) =>
+        var e = 0
+        while (e < map.size) {
+          val c = map.keyAt(e)
           if (c != cur) {
-            val s = score(e, size(c))
+            val s = score(map.valueAt(e), size(c))
             if (s > bestS + 1e-12) { bestS = s; bestC = c }
           }
+          e += 1
         }
         if (bestC != cur) {
           comm(v) = bestC
@@ -74,7 +79,7 @@ object Scd {
         v += 1
       }
       pass += 1
-      if (!moved) pass = refinePasses
+      if (!moved) pass = RefinePasses
     }
     repro.core.Objective.normalize(comm)
   }

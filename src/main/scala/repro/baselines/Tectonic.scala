@@ -1,7 +1,6 @@
 package repro.baselines
 
 import repro.graph.{LocalGraph, Triangles, UnionFind}
-import repro.util.Parallel
 
 /** TECTONIC (Tsourakakis et al., WWW'17) — the triangle-conductance community
   * detection baseline of the paper's §4.2/§4.3.
@@ -14,11 +13,8 @@ import repro.util.Parallel
 object Tectonic {
 
   /** Cluster `g` at threshold `theta`; isolated vertices become singletons. */
-  def cluster(g: LocalGraph, theta: Double,
-              threads: Int = Parallel.defaultThreads): Array[Int] = {
-    val tc = Triangles.count(g, threads)
-    clusterWithCounts(g, tc, theta)
-  }
+  def cluster(g: LocalGraph, theta: Double): Array[Int] =
+    clusterWithCounts(g, Triangles.count(g), theta)
 
   /** Variant reusing precomputed triangle counts (for θ sweeps). */
   def clusterWithCounts(g: LocalGraph, tc: Triangles.TriangleCounts,

@@ -62,30 +62,22 @@ object Objective {
 
   /** O(n²) brute force over all pairs — test oracle only. */
   def bruteForce(g: LocalGraph, clusters: Array[Int], lambda: Double): Double = {
-    val n = g.numVertices
-    // adjacency lookup
-    val adj = new repro.util.LongDoubleMap(2 * g.nbrs.length + 16)
-    var v = 0
-    while (v < n) {
-      var i = g.offsets(v)
-      while (i < g.offsets(v + 1)) {
-        if (v < g.nbrs(i)) adj.addTo(v.toLong << 32 | g.nbrs(i), g.wgts(i))
-        i += 1
-      }
-      v += 1
-    }
+    val n   = g.numVertices
+    val row = new Array[Double](n) // u's edge weights, filled and cleared per u
     var total = 0.0
     var u = 0
     while (u < n) {
       total += g.selfLoop(u) // intra by definition
+      var i = g.offsets(u)
+      while (i < g.offsets(u + 1)) { row(g.nbrs(i)) = g.wgts(i); i += 1 }
       var w = u + 1
       while (w < n) {
-        if (clusters(u) == clusters(w)) {
-          val base = adj.getOrElse(u.toLong << 32 | w, 0.0)
-          total += base - lambda * g.vertexWeight(u) * g.vertexWeight(w)
-        }
+        if (clusters(u) == clusters(w))
+          total += row(w) - lambda * g.vertexWeight(u) * g.vertexWeight(w)
         w += 1
       }
+      i = g.offsets(u)
+      while (i < g.offsets(u + 1)) { row(g.nbrs(i)) = 0.0; i += 1 }
       u += 1
     }
     // subtract nothing: pairs within super-vertices are constant (sq bookkeeping)
@@ -120,12 +112,5 @@ object Objective {
       i += 1
     }
     out
-  }
-
-  /** Number of distinct clusters. */
-  def numClusters(clusters: Array[Int]): Int = {
-    val s = new java.util.HashSet[Int]()
-    clusters.foreach(s.add)
-    s.size
   }
 }

@@ -35,6 +35,9 @@ object BenchGraphs {
   /** The paper's §4.1 tuning set. */
   val tuningSet: Seq[String] = Seq("amazon-lite", "orkut-lite", "twitter-lite", "friendster-lite")
 
+  /** The two resolutions the §4.1 tuning study sweeps (T2, T6, T7, T8). */
+  val tuningLambdas: Seq[Double] = Seq(0.01, 0.85)
+
   /** A larger rMAT input (~2.5M edges) for thread-scaling headroom — at the
     * SBM stand-ins' sub-second runtimes, fixed costs bound the speedup.
     */

@@ -12,9 +12,9 @@ object ExpTectonic {
 
   val thetas: Seq[Double] = Seq(0.01, 0.02, 0.04, 0.06, 0.1, 0.15, 0.25, 0.4, 0.8, 1.5)
 
-  def table(graphs: Seq[String] = BenchGraphs.qualitySet): Table = {
+  def table(): Table = {
     val rows = Seq.newBuilder[Seq[String]]
-    for (gName <- graphs) {
+    for (gName <- BenchGraphs.qualitySet) {
       val gt = BenchGraphs(gName)
       val comms = gt.communities.map(identity)
       // Tectonic sweep (count triangles once; sweep θ like the original).
@@ -59,9 +59,8 @@ object ExpTectonic {
   */
 object ExpNetworkit {
 
-  def table(graphs: Seq[String] = BenchGraphs.qualitySet,
-            gammas: Seq[Double] = Seq(0.25, 0.5, 1.0, 2.0)): Table = {
-    val rows = for (gName <- graphs; gamma <- gammas) yield {
+  def table(): Table = {
+    val rows = for (gName <- BenchGraphs.qualitySet; gamma <- Seq(0.25, 0.5, 1.0, 2.0)) yield {
       val g = BenchGraphs(gName).graph
       val opts = LouvainOptions(numIter = 32, refine = false, seed = 9)
       val (plm, tPlm) = Timing.time(PlmBaseline.clusterModularity(g, gamma, opts))
@@ -83,10 +82,10 @@ object ExpNetworkit {
   */
 object ExpPivot {
 
-  def table(graphs: Seq[String] = BenchGraphs.qualitySet): Table = {
+  def table(): Table = {
     val rows = Seq.newBuilder[Seq[String]]
     val lambda = 0.5 // the objective C4/CW optimize
-    for (gName <- graphs) {
+    for (gName <- BenchGraphs.qualitySet) {
       val gt = BenchGraphs(gName)
       val g  = gt.graph
       val comms = gt.communities.map(identity)
@@ -125,9 +124,9 @@ object ExpPivot {
   */
 object ExpScd {
 
-  def table(graphs: Seq[String] = BenchGraphs.qualitySet): Table = {
+  def table(): Table = {
     val rows = Seq.newBuilder[Seq[String]]
-    for (gName <- graphs) {
+    for (gName <- BenchGraphs.qualitySet) {
       val gt = BenchGraphs(gName)
       val comms = gt.communities.map(identity)
       val (scdCl, tScd) = Timing.time(Scd.cluster(gt.graph))

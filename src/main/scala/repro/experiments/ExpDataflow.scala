@@ -12,14 +12,11 @@ import repro.graph.GraphGen
   */
 object ExpDataflow {
 
-  def table(spark: SparkSession,
-            scales: Seq[Int] = Seq(10, 12),
-            lambdas: Seq[Double] = Seq(0.1, 0.5)): Table = {
+  def table(spark: SparkSession): Table = {
     val rows = Seq.newBuilder[Seq[String]]
-    for (scale <- scales; lambda <- lambdas) {
+    for (scale <- Seq(10, 12); lambda <- Seq(0.1, 0.5)) {
       val g = GraphGen.rmat(scale, (1 << scale) * 8L, seed = 5)
-      val (gxRes, tGx) = Timing.time(
-        GraphxLouvain.cluster(spark, g, lambda, numIter = 8, maxLevels = 6))
+      val (gxRes, tGx) = Timing.time(GraphxLouvain.cluster(spark, g, lambda))
       val (parRes, tPar) = Timing.time(ParLouvain.cluster(g, lambda, LouvainOptions(seed = 3)))
       val oGx  = Objective.cc(g, gxRes.clusters, lambda)
       val oPar = Objective.cc(g, parRes.clusters, lambda)

@@ -24,8 +24,7 @@ object ExpKnn {
   private def communitiesOf(labels: Array[Int]): Seq[Array[Int]] =
     labels.zipWithIndex.groupBy(_._1).values.map(_.map(_._2)).toSeq.sortBy(-_.length)
 
-  def table(lambdas: Seq[Double] = Seq(0.01, 0.02, 0.05, 0.1, 0.2, 0.4),
-            gammas: Seq[Double] = Seq(0.3, 1.0, 3.0, 10.0)): Table = {
+  def table(): Table = {
     val rows = Seq.newBuilder[Seq[String]]
     for (ds <- datasets) {
       val ps = KnnGraph.gaussianMixture(ds.n, dim = ds.dim, classes = ds.classes,
@@ -38,11 +37,11 @@ object ExpKnn {
         rows += Seq(ds.name, name, param, f"${pr.precision}%.3f", f"${pr.recall}%.3f",
           f"${Metrics.ari(cl, ps.labels)}%.3f", f"${Metrics.nmi(cl, ps.labels)}%.3f")
       }
-      for (l <- lambdas) {
+      for (l <- Seq(0.01, 0.02, 0.05, 0.1, 0.2, 0.4)) {
         score("PAR-CC^W", f"l=$l%.2f", ParLouvain.cluster(gw, l, LouvainOptions(seed = 3)).clusters)
         score("PAR-CC", f"l=$l%.2f", ParLouvain.cluster(gu, l, LouvainOptions(seed = 3)).clusters)
       }
-      for (gamma <- gammas) {
+      for (gamma <- Seq(0.3, 1.0, 3.0, 10.0)) {
         score("PAR-MOD", f"g=$gamma%.1f",
           ParLouvain.clusterModularity(gu, gamma, LouvainOptions(seed = 3)).clusters)
         // NetworKit stand-in consumes the weighted graph, like the paper's NETWORKIT

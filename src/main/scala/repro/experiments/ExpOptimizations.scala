@@ -29,10 +29,9 @@ object ExpOptimizations {
   /** (algorithm, graph, λ, config.name) -> measurement */
   type Results = Map[(String, String, Double, String), Cell]
 
-  def measure(graphs: Seq[String] = BenchGraphs.tuningSet,
-              lambdas: Seq[Double] = Seq(0.01, 0.85)): Results = {
+  def measure(): Results = {
     val out = Map.newBuilder[(String, String, Double, String), Cell]
-    for (gName <- graphs; lambda <- lambdas; cfg <- configs) {
+    for (gName <- BenchGraphs.tuningSet; lambda <- BenchGraphs.tuningLambdas; cfg <- configs) {
       val g = BenchGraphs(gName).graph
       // PAR-CC
       val optsCc = LouvainOptions(mode = cfg.mode, frontier = cfg.frontier, refine = cfg.refine, seed = 7)

@@ -13,12 +13,12 @@ object ExpQuality {
   val ccLambdas: Seq[Double]  = Seq(0.01, 0.03, 0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9)
   val modGammas: Seq[Double]  = Seq(0.05, 0.12, 0.3, 0.7, 1.7, 4.0, 10.0, 25.0, 60.0)
 
-  def table(graphs: Seq[String] = BenchGraphs.qualitySet, topK: Int = 5000): Table = {
+  def table(): Table = {
     val rows = Seq.newBuilder[Seq[String]]
-    for (gName <- graphs) {
+    for (gName <- BenchGraphs.qualitySet) {
       val gt = BenchGraphs(gName)
       val comms = gt.communities.map(identity)
-      def pr(cl: Array[Int]) = Metrics.averagePrecisionRecall(comms, cl, topK)
+      def pr(cl: Array[Int]) = Metrics.averagePrecisionRecall(comms, cl) // SNAP's top 5000
       for (l <- ccLambdas) {
         val par  = ParLouvain.cluster(gt.graph, l, LouvainOptions(seed = 3)).clusters
         val seq  = SeqLouvain.cluster(gt.graph, l, LouvainOptions(seed = 3)).clusters

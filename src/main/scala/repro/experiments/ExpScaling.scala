@@ -2,6 +2,7 @@ package repro.experiments
 
 import repro.core._
 import repro.graph.GraphGen
+import repro.util.Parallel
 
 /** T6 — rMAT scalability (Figs 6/12): running time of PAR-CC / PAR-MOD over
   * rMAT graphs of the paper's four density regimes (m = 5n, 50n, n^1.5, n²),
@@ -17,17 +18,15 @@ object ExpRmat {
     Regime("m=n^2",   n => n.toLong * n / 4), // /4 keeps n² regime feasible at scale>=10
   )
 
-  def table(scales: Seq[Int] = Seq(10, 12, 14, 16),
-            lambdas: Seq[Double] = Seq(0.01, 0.85),
-            maxEdges: Long = 4_000_000L): Table = {
+  def table(): Table = {
     val rows = Seq.newBuilder[Seq[String]]
-    for (reg <- regimes; scale <- scales) {
+    for (reg <- regimes; scale <- Seq(10, 12, 14, 16)) {
       val n = 1 << scale
       val m = reg.edges(n)
-      if (m <= maxEdges) {
+      if (m <= 4_000_000L) {
         val g = GraphGen.rmat(scale, m, seed = scale * 31 + 7)
         val opts = LouvainOptions(seed = 3)
-        for (l <- lambdas) {
+        for (l <- BenchGraphs.tuningLambdas) {
           // one untimed call per engine first, so that no row (the first one
           // above all) times JIT warm-up instead of scaling
           ParLouvain.cluster(g, l, opts)
@@ -47,18 +46,18 @@ object ExpRmat {
 }
 
 /** T7 — thread scalability (Figs 7/13): self-relative speedups over 1..16
-  * threads (the container's core count; the paper uses 30h/48h cores).
+  * threads (the paper uses 30h/48h cores). The title prints the core count,
+  * and a thread count above it is marked `*` (oversubscribed).
   */
 object ExpThreads {
 
-  def table(graphs: Seq[String] = BenchGraphs.tuningSet,
-            lambdas: Seq[Double] = Seq(0.01, 0.85),
-            threads: Seq[Int] = Seq(1, 2, 4, 8, 16),
-            includeLargeRmat: Boolean = true): Table = {
+  val threads: Seq[Int] = Seq(1, 2, 4, 8, 16)
+
+  def table(): Table = {
     val rows = Seq.newBuilder[Seq[String]]
-    val inputs = graphs.map(name => name -> BenchGraphs(name).graph) ++
-      (if (includeLargeRmat) Seq("rmat18(3M)" -> BenchGraphs.rmatLarge) else Nil)
-    for ((gName, g) <- inputs; l <- lambdas; alg <- Seq("PAR-CC", "PAR-MOD")) {
+    val inputs = BenchGraphs.tuningSet.map(name => name -> BenchGraphs(name).graph) :+
+      ("rmat18(3M)" -> BenchGraphs.rmatLarge)
+    for ((gName, g) <- inputs; l <- BenchGraphs.tuningLambdas; alg <- Seq("PAR-CC", "PAR-MOD")) {
       // median of 3: async moves race, so the move trajectories (and the
       // work done) differ from run to run and single-shot ratios are noisy
       val times = threads.map { t =>
@@ -72,8 +71,11 @@ object ExpThreads {
       rows += (Seq(alg, gName, f"$l%.2f") ++
         times.map(Timing.fmt) ++ Seq(f"${t1 / times.last}%.2f"))
     }
-    Table("T7 (Fig 7/13): thread scaling (seconds per thread count; last col = self-relative speedup at max threads)",
-      Seq("alg", "graph", "lambda") ++ threads.map(t => s"t$t(s)") ++ Seq("speedup"),
+    val nproc = Parallel.defaultThreads
+    Table(s"T7 (Fig 7/13): thread scaling on nproc=$nproc (seconds per thread count; " +
+      "last col = self-relative speedup at max threads; * = oversubscribed)",
+      Seq("alg", "graph", "lambda") ++ threads.map(t => s"t$t(s)" + (if (t > nproc) "*" else "")) ++
+        Seq("speedup"),
       rows.result())
   }
 }
@@ -84,16 +86,15 @@ object ExpThreads {
   */
 object ExpMemory {
 
-  def table(graphs: Seq[String] = BenchGraphs.tuningSet,
-            lambdas: Seq[Double] = Seq(0.01, 0.85)): Table = {
+  def table(): Table = {
     val rows = Seq.newBuilder[Seq[String]]
-    for (gName <- graphs; l <- lambdas; alg <- Seq("PAR-CC", "PAR-MOD")) {
+    for (gName <- BenchGraphs.tuningSet; l <- BenchGraphs.tuningLambdas; alg <- Seq("PAR-CC", "PAR-MOD")) {
       val g = BenchGraphs(gName).graph
       val res =
         if (alg == "PAR-CC") ParLouvain.cluster(g, l, LouvainOptions(seed = 5))
         else ParLouvain.clusterModularity(g, l, LouvainOptions(seed = 5))
       val in = g.sizeInBytes.toDouble
-      rows += Seq(alg, gName, f"$l%.2f", (in / 1e6).formatted("%.1f"),
+      rows += Seq(alg, gName, f"$l%.2f", f"${in / 1e6}%.1f",
         res.numLevels.toString,
         f"${res.retainedBytesAllLevels / in}%.2f",
         f"${res.peakBytesNoRefine / in}%.2f")

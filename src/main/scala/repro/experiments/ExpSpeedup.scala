@@ -17,14 +17,11 @@ object ExpSpeedup {
     def iterRatio: Double  = parIters.toDouble / math.max(1, seqIters)
   }
 
-  def measure(graphs: Seq[String],
-              resolutions: Seq[Double] = Seq(0.01, 0.25, 0.5, 0.75, 0.85, 0.95),
-              seqDeadlineSec: Double = 120.0,
-              includeMod: Boolean = true): Seq[Row] = {
+  def measure(): Seq[Row] = {
     val rows = Seq.newBuilder[Row]
-    for (gName <- graphs; lambda <- resolutions) {
+    for (gName <- BenchGraphs.standIns.map(_._2); lambda <- Seq(0.01, 0.25, 0.75, 0.95)) {
       val g = BenchGraphs(gName).graph
-      val deadline = () => System.nanoTime() + (seqDeadlineSec * 1e9).toLong
+      val deadline = () => System.nanoTime() + 90L * 1_000_000_000L // SEQ stops after 90 s
       // CC
       val (sR, sT) = Timing.time(SeqLouvain.cluster(g, lambda,
         LouvainOptions(seed = 7, deadlineNanos = deadline())))
@@ -32,14 +29,13 @@ object ExpSpeedup {
       rows += Row("CC", gName, lambda, sT, pT,
         Objective.cc(g, sR.clusters, lambda), Objective.cc(g, pR.clusters, lambda),
         sR.numIterations, pR.numIterations, sR.timedOut)
-      if (includeMod) {
-        val (smR, smT) = Timing.time(SeqLouvain.clusterModularity(g, lambda,
-          LouvainOptions(seed = 7, deadlineNanos = deadline())))
-        val (pmR, pmT) = Timing.time(ParLouvain.clusterModularity(g, lambda, LouvainOptions(seed = 7)))
-        rows += Row("MOD", gName, lambda, smT, pmT,
-          Objective.modularity(g, smR.clusters, lambda), Objective.modularity(g, pmR.clusters, lambda),
-          smR.numIterations, pmR.numIterations, smR.timedOut)
-      }
+      // MOD
+      val (smR, smT) = Timing.time(SeqLouvain.clusterModularity(g, lambda,
+        LouvainOptions(seed = 7, deadlineNanos = deadline())))
+      val (pmR, pmT) = Timing.time(ParLouvain.clusterModularity(g, lambda, LouvainOptions(seed = 7)))
+      rows += Row("MOD", gName, lambda, smT, pmT,
+        Objective.modularity(g, smR.clusters, lambda), Objective.modularity(g, pmR.clusters, lambda),
+        smR.numIterations, pmR.numIterations, smR.timedOut)
     }
     rows.result()
   }
@@ -59,12 +55,11 @@ object ExpSpeedup {
         r.seqIters.toString, r.parIters.toString, f"${r.iterRatio}%.2f")))
 
   /** SEQ-CC^CON comparison on small graphs (paper: 12.55–110.25x). */
-  def convergenceTable(graphs: Seq[String], resolutions: Seq[Double],
-                       deadlineSec: Double = 240.0): Table = {
-    val rows = for (gName <- graphs; lambda <- resolutions) yield {
+  def convergenceTable(): Table = {
+    val rows = for (gName <- Seq("amazon-lite", "dblp-lite"); lambda <- Seq(0.05, 0.5)) yield {
       val g = BenchGraphs(gName).graph
       val (cR, cT) = Timing.time(SeqLouvain.cluster(g, lambda,
-        LouvainOptions(seed = 7, deadlineNanos = System.nanoTime() + (deadlineSec * 1e9).toLong).toConvergence))
+        LouvainOptions(seed = 7, deadlineNanos = System.nanoTime() + 240L * 1_000_000_000L).toConvergence))
       val (pR, pT) = Timing.time(ParLouvain.cluster(g, lambda, LouvainOptions(seed = 7)))
       Seq(gName, f"$lambda%.2f", Timing.fmt(cT), Timing.fmt(pT), f"${cT / pT}%.2f",
         f"${Objective.cc(g, pR.clusters, lambda) / math.max(1e-12, Objective.cc(g, cR.clusters, lambda))}%.3f",

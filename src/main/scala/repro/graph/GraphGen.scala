@@ -29,10 +29,10 @@ object GraphGen {
   /** rMAT generator with the paper's parameters. Duplicate edges are merged
     * (weight 1 retained — unweighted semantics), self-loops dropped.
     */
-  def rmat(scale: Int, numEdges: Long, seed: Long = 7,
-           a: Double = 0.5, b: Double = 0.1, c: Double = 0.1): LocalGraph = {
+  def rmat(scale: Int, numEdges: Long, seed: Long = 7): LocalGraph = {
     val n   = 1 << scale
     val rng = new SplittableRandom(seed)
+    val a   = 0.5; val b = 0.1; val c = 0.1 // quadrant probabilities; d = 1 − a − b − c
     val ab  = a + b
     val abc = a + b + c
     val edges = new ArrayBuilder.ofLong

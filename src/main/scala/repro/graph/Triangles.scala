@@ -32,6 +32,9 @@ object Triangles {
         i += 1
       }
     }
+    // Each u < v pair is intersected once; its count goes to the u→v slot and
+    // to the v→u slot, found by binary search in v's sorted row (CSR rows hold
+    // no duplicates). Every slot therefore has exactly one writer.
     val perEdge   = new Array[Int](g.nbrs.length)
     val perVertex = new Array[Long](n)
     Parallel.forRange(n, threads) { u =>
@@ -49,35 +52,12 @@ object Triangles {
             else b += 1
           }
           perEdge(order(i)) = t
+          perEdge(order(java.util.Arrays.binarySearch(sortedNbrs, g.offsets(v), bHi, u))) = t
         }
         i += 1
       }
     }
-    // mirror counts to the (v,u) direction and accumulate per-vertex totals
-    val n2 = g.nbrs.length
-    // build a map from (u,v) to count for u<v, then fill v->u slots
-    val packed = new repro.util.LongDoubleMap(n2 + 16)
     var u = 0
-    while (u < n) {
-      var i = g.offsets(u)
-      while (i < g.offsets(u + 1)) {
-        val v = g.nbrs(i)
-        if (u < v && perEdge(i) > 0) packed.addTo(u.toLong << 32 | v, perEdge(i).toDouble)
-        i += 1
-      }
-      u += 1
-    }
-    u = 0
-    while (u < n) {
-      var i = g.offsets(u)
-      while (i < g.offsets(u + 1)) {
-        val v = g.nbrs(i)
-        if (u > v) perEdge(i) = packed.getOrElse(v.toLong << 32 | u, 0.0).toInt
-        i += 1
-      }
-      u += 1
-    }
-    u = 0
     while (u < n) {
       var i = g.offsets(u); var s = 0L
       while (i < g.offsets(u + 1)) { s += perEdge(i); i += 1 }

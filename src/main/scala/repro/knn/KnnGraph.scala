@@ -36,8 +36,7 @@ object KnnGraph {
     * two directed similarities, clamped to (0, 1]. Non-positive similarities
     * are dropped (they carry no attraction under the CC objective).
     */
-  def cosineKnnGraph(ps: Pointset, k: Int,
-                     threads: Int = Parallel.defaultThreads): LocalGraph = {
+  def cosineKnnGraph(ps: Pointset, k: Int): LocalGraph = {
     val n   = ps.points.length
     val dim = ps.points(0).length
     // L2-normalize once; cosine similarity becomes a dot product.
@@ -46,7 +45,7 @@ object KnnGraph {
       if (norm == 0) p else p.map(_ / norm)
     }
     val nbrs = new Array[Array[(Int, Double)]](n)
-    Parallel.forRange(n, threads) { i =>
+    Parallel.forRange(n) { i =>
       val sims = new Array[Double](n)
       val pi = unit(i)
       var j = 0

@@ -1,7 +1,7 @@
 package repro.util
 
 import java.util.concurrent.atomic.AtomicLongArray
-import java.util.concurrent.{Callable, ExecutorService, Executors, TimeUnit}
+import java.util.concurrent.{Callable, ExecutorService, Executors}
 
 /** Shared-memory parallel primitives used by the PAR-* implementations.
   *
@@ -47,12 +47,6 @@ object Parallel {
     val futures = pool(threads).invokeAll(tasks)
     futures.forEach(_.get()) // propagate exceptions
   }
-
-  /** Shut down all cached pools (test hygiene; pools are daemon anyway). */
-  def shutdown(): Unit = {
-    pools.values.forEach { p => p.shutdown(); p.awaitTermination(1, TimeUnit.SECONDS) }
-    pools.clear()
-  }
 }
 
 /** Atomic array of doubles built on CAS over raw long bits — the paper's
@@ -75,6 +69,4 @@ final class AtomicDoubleArray(val length: Int) {
       done = bits.compareAndSet(i, cur, next)
     }
   }
-
-  def toArray: Array[Double] = Array.tabulate(length)(get)
 }

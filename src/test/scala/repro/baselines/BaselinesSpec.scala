@@ -46,8 +46,8 @@ class KwikClusterSpec extends AnyFunSuite with Matchers {
   test("pivot clustering of a clique is one cluster") {
     val g = repro.graph.LocalGraph.fromUnweightedEdges(6,
       for { u <- 0 until 6; v <- u + 1 until 6 } yield (u, v))
-    Objective.numClusters(KwikCluster.sequential(g, 1)) shouldBe 1
-    Objective.numClusters(KwikCluster.c4(g, 1)) shouldBe 1
+    KwikCluster.sequential(g, 1).distinct.length shouldBe 1
+    KwikCluster.c4(g, 1).distinct.length shouldBe 1
   }
 
   test("paper claim: pivot clustering yields negative CC objective on sparse community graphs") {
@@ -81,7 +81,7 @@ class TectonicSpec extends AnyFunSuite with Matchers {
   test("huge theta shatters everything into singletons") {
     val g  = TestGraphs.twoCliques(5)
     val cl = Tectonic.cluster(g, 10.0)
-    Objective.numClusters(cl) shouldBe g.numVertices
+    cl.distinct.length shouldBe g.numVertices
   }
 
   test("bridge edge between cliques is cut at moderate theta") {
@@ -94,8 +94,8 @@ class TectonicSpec extends AnyFunSuite with Matchers {
 
   test("monotonic: higher theta never merges clusters") {
     val gt = GraphGen.sbm(1000, 10, 40, 7, 2, seed = 7)
-    val lo = Objective.numClusters(Tectonic.cluster(gt.graph, 0.02))
-    val hi = Objective.numClusters(Tectonic.cluster(gt.graph, 0.2))
+    val lo = Tectonic.cluster(gt.graph, 0.02).distinct.length
+    val hi = Tectonic.cluster(gt.graph, 0.2).distinct.length
     hi should be >= lo
   }
 

@@ -169,10 +169,6 @@ class ObjectiveSpec extends AnyFunSuite with Matchers {
     Objective.normalize(cl).toSeq shouldBe Seq(0, 1, 0, 1)
   }
 
-  test("numClusters counts distinct ids") {
-    Objective.numClusters(Array(3, 1, 4, 1, 5)) shouldBe 4
-  }
-
   test("modularity equals scaled CC under the k=d, lambda=gamma/2W reduction") {
     for (seed <- 1 to 8) {
       val g  = TestGraphs.randomWeighted(15, 0.4, seed)

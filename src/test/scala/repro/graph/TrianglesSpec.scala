@@ -50,6 +50,11 @@ class TrianglesSpec extends AnyFunSuite with Matchers {
       }
       tc.totalTriangles shouldBe total
       tc.perVertex.toSeq shouldBe perV.toSeq
+      // every directed slot u→v holds |N(u) ∩ N(v)|
+      for (u <- 0 until n; i <- g.offsets(u) until g.offsets(u + 1)) {
+        val v = g.nbrs(i)
+        tc.perEdge(i) shouldBe (0 until n).count(w => adj(u).contains(w) && adj(v).contains(w))
+      }
     }
   }
 
