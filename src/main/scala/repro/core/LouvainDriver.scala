@@ -1,9 +1,7 @@
 package repro.core
 
 import java.util.SplittableRandom
-import java.util.concurrent.atomic.AtomicIntegerArray
 import repro.graph.LocalGraph
-import repro.util.Parallel
 import scala.collection.mutable.ArrayBuffer
 
 /** Result of one BEST-MOVES invocation on a single level. Cluster ids live in
@@ -92,44 +90,21 @@ private[repro] object LouvainDriver {
   }
 }
 
-/** Frontier construction for BEST-MOVES (paper §3.2.2). Mark arrays are
-  * caller-owned and reused across passes.
+/** Frontier construction for BEST-MOVES (paper §3.2.2). The body stamps the
+  * next frontier into an `Int` array with the pass number, so no pass has to
+  * clear marks left by an earlier one.
   */
 private[repro] object FrontierOps {
 
-  /** V' = neighbors of the vertices flagged in `moved` by the previous pass. */
-  def nbrsOfVertices(g: LocalGraph, moved: Array[Boolean],
-                     mark: Array[Boolean], threads: Int): Array[Int] =
-    nbrsWhere(g, mark, threads)(moved(_))
-
-  /** V' = neighbors of clusters affected by the previous pass's moves (union
-    * of source and destination clusters — categories (b) and (c) of §3.2.2).
-    */
-  def nbrsOfClusters(g: LocalGraph, cluster: AtomicIntegerArray,
-                     affectedClusters: Array[Boolean],
-                     mark: Array[Boolean], threads: Int): Array[Int] =
-    nbrsWhere(g, mark, threads)(v => affectedClusters(cluster.get(v)))
-
-  /** Ascending neighbors of the vertices `v` with `pick(v)`. */
-  private def nbrsWhere(g: LocalGraph, mark: Array[Boolean], threads: Int)(pick: Int => Boolean): Array[Int] = {
-    java.util.Arrays.fill(mark, false)
-    Parallel.forRange(g.numVertices, threads) { v =>
-      if (pick(v)) {
-        var j = g.offsets(v)
-        while (j < g.offsets(v + 1)) { mark(g.nbrs(j)) = true; j += 1 }
-      }
-    }
-    collect(mark)
-  }
-
   def all(n: Int): Array[Int] = Array.tabulate(n)(identity)
 
-  private def collect(mark: Array[Boolean]): Array[Int] = {
+  /** The vertices `v` with `stamp(v) == pass`, ascending. */
+  def stamped(stamp: Array[Int], pass: Int): Array[Int] = {
     var c = 0; var i = 0
-    while (i < mark.length) { if (mark(i)) c += 1; i += 1 }
+    while (i < stamp.length) { if (stamp(i) == pass) c += 1; i += 1 }
     val out = new Array[Int](c)
     var p = 0; i = 0
-    while (i < mark.length) { if (mark(i)) { out(p) = i; p += 1 }; i += 1 }
+    while (i < stamp.length) { if (stamp(i) == pass) { out(p) = i; p += 1 }; i += 1 }
     out
   }
 

@@ -25,6 +25,7 @@ object Frontier {
   *
   * @param numIter   max BEST-MOVES passes per level (`Int.MaxValue` ⇒ run to
   *                  convergence — the paper's ^CON superscript)
+  * @param maxLevels max coarsening levels, at least 1
   * @param refine    multi-level refinement (paper §3.2.3)
   * @param frontier  vertex-subset optimization (paper §3.2.2)
   * @param mode      async vs sync (paper §3.2.1; fixed to Async by SeqLouvain)
@@ -45,6 +46,8 @@ final case class LouvainOptions(
     seed: Long = 42,
     deadlineNanos: Long = Long.MaxValue,
 ) {
+  require(maxLevels >= 1, s"maxLevels must be at least 1, got $maxLevels")
+
   /** Paper's ^CON setting: run each level's BEST-MOVES to convergence. */
   def toConvergence: LouvainOptions = copy(numIter = Int.MaxValue)
 }

@@ -11,11 +11,16 @@ import repro.util.{AtomicDoubleArray, IntDoubleMap, Parallel}
   * immediately: the cluster id write and the two cluster-weight updates are
   * separate atomic operations with no synchronization, so concurrent best-move
   * computations read racy snapshots — exactly the paper's relaxed-consistency
-  * scheme that provides symmetry breaking. In the **sync** setting all desired
-  * moves are computed against a frozen snapshot and applied together, after
-  * which cluster weights are rebuilt by parallel aggregation; this reproduces
-  * the Figure-1 pathology (vertices oscillating into each other's clusters).
+  * scheme that provides symmetry breaking. In the **sync** setting every
+  * target is chosen against the frozen state first, and only then are the
+  * moves applied, through the same updates as async; this reproduces the
+  * Figure-1 pathology (vertices oscillating into each other's clusters).
   * `SeqLouvain` runs this BEST-MOVES body at one thread, async, seeded order.
+  *
+  * Per level the body keeps only what the moves need: a cluster id per
+  * vertex, a weight per cluster and the pass stamps of the next frontier.
+  * There are no cluster-size counters: a vertex alone in its cluster scores
+  * 0 for detaching, which the `> best + Eps` test rejects.
   */
 object ParLouvain extends LouvainEngine {
 
@@ -36,19 +41,21 @@ object ParLouvain extends LouvainEngine {
       init: Array[Int], order: Option[SplittableRandom]): BestMovesResult = {
     val n       = g.numVertices
     val threads = opts.threads
-    val cluster = new AtomicIntegerArray(2 * n) // only [0,n) used as indices
+    val cluster = new AtomicIntegerArray(n)
     val kOf     = g.vertexWeight
     val kC      = new AtomicDoubleArray(2 * n)  // cluster weight; ids ≥ n are detach spares
-    val size    = new AtomicIntegerArray(2 * n)
     var v = 0
-    while (v < n) { cluster.set(v, init(v)); kC.add(init(v), kOf(v)); size.incrementAndGet(init(v)); v += 1 }
+    while (v < n) { cluster.set(v, init(v)); kC.add(init(v), kOf(v)); v += 1 }
 
     // Per-thread scratch map for the neighbor-cluster aggregation.
     val tlMap = ThreadLocal.withInitial[IntDoubleMap](() => new IntDoubleMap(64))
 
-    val mark       = new Array[Boolean](n)
-    val affected   = new Array[Boolean](2 * n) // benign races: monotonic writes
-    val movedFlag  = new Array[Boolean](n)     // single writer per index
+    // Pass stamps, never cleared: next(v) == pass puts v in the next frontier,
+    // touched(c) == pass marks a cluster a move left or entered. Concurrent
+    // writers store the same value.
+    val next       = new Array[Int](if (opts.frontier == Frontier.AllVertices) 0 else n)
+    val touched    = new Array[Int](if (opts.frontier == Frontier.NbrsOfClusters) 2 * n else 0)
+    val moved      = new LongAdder
     var frontier   = FrontierOps.all(n)
     var passes     = 0
     var anyMoved   = false
@@ -76,17 +83,28 @@ object ParLouvain extends LouvainEngine {
         }
         e += 1
       }
-      if (size.get(c) > 1 && Objective.moveDelta(kU, lambda, wToC, kCc, 0.0, 0.0) > bestDelta + Eps)
-        bestT = n + u
+      // Alone in c, u has wToC = 0 and kC(c) = k_u: detaching scores 0 and fails.
+      if (Objective.moveDelta(kU, lambda, wToC, kCc, 0.0, 0.0) > bestDelta + Eps) bestT = n + u
       bestT
     }
 
-    def applyMove(u: Int, from: Int, to: Int): Unit = {
-      cluster.set(u, to)
-      kC.add(from, -kOf(u)); kC.add(to, kOf(u))
-      size.decrementAndGet(from); size.incrementAndGet(to)
-      movedFlag(u) = true
-      if (opts.frontier == Frontier.NbrsOfClusters) { affected(from) = true; affected(to) = true }
+    def stampNbrs(u: Int): Unit = {
+      var j = g.offsets(u)
+      while (j < g.offsets(u + 1)) { next(g.nbrs(j)) = passes; j += 1 }
+    }
+
+    def applyMove(u: Int, to: Int): Unit = {
+      val from = cluster.get(u)
+      if (to != from) {
+        cluster.set(u, to)
+        kC.add(from, -kOf(u)); kC.add(to, kOf(u))
+        moved.increment()
+        opts.frontier match {
+          case Frontier.AllVertices    =>
+          case Frontier.NbrsOfVertices => stampNbrs(u)
+          case Frontier.NbrsOfClusters => touched(from) = passes; touched(to) = passes
+        }
+      }
     }
 
     while (!break && passes < opts.numIter && frontier.nonEmpty) {
@@ -94,49 +112,27 @@ object ParLouvain extends LouvainEngine {
       else {
         passes += 1
         order.foreach(FrontierOps.shuffle(frontier, _))
-        java.util.Arrays.fill(movedFlag, false)
-        if (opts.frontier == Frontier.NbrsOfClusters) java.util.Arrays.fill(affected, false)
-        val movedCount = new LongAdder
         val front = frontier // capture for lambda
 
         opts.mode match {
           case MoveMode.Async =>
-            Parallel.forRange(front.length, threads) { fi =>
-              val u = front(fi)
-              val c = cluster.get(u)
-              val t = bestTarget(u)
-              if (t != c) { applyMove(u, c, t); movedCount.increment() }
-            }
+            Parallel.forRange(front.length, threads) { fi => val u = front(fi); applyMove(u, bestTarget(u)) }
           case MoveMode.Sync =>
-            // Phase 1: desired moves against the frozen state (Line 7 only).
+            // Every target against the frozen state (Line 7 only), then the moves.
             val desired = new Array[Int](front.length)
             Parallel.forRange(front.length, threads)(fi => desired(fi) = bestTarget(front(fi)))
-            // Phase 2: apply all moves, then rebuild aggregates in parallel.
-            Parallel.forRange(front.length, threads) { fi =>
-              val u = front(fi)
-              val t = desired(fi)
-              if (t != cluster.get(u)) {
-                val c = cluster.get(u)
-                cluster.set(u, t)
-                movedFlag(u) = true
-                movedCount.increment()
-                if (opts.frontier == Frontier.NbrsOfClusters) { affected(c) = true; affected(t) = true }
-              }
-            }
-            Parallel.forRange(2 * n, threads) { i => kC.set(i, 0.0); size.set(i, 0) }
-            Parallel.forRange(n, threads) { u =>
-              val c = cluster.get(u)
-              kC.add(c, kOf(u)); size.incrementAndGet(c)
-            }
+            Parallel.forRange(front.length, threads)(fi => applyMove(front(fi), desired(fi)))
         }
 
-        if (movedCount.sum() == 0L) break = true
+        if (moved.sumThenReset() == 0L) break = true
         else {
           anyMoved = true
           frontier = opts.frontier match {
             case Frontier.AllVertices    => FrontierOps.all(n)
-            case Frontier.NbrsOfVertices => FrontierOps.nbrsOfVertices(g, movedFlag, mark, threads)
-            case Frontier.NbrsOfClusters => FrontierOps.nbrsOfClusters(g, cluster, affected, mark, threads)
+            case Frontier.NbrsOfVertices => FrontierOps.stamped(next, passes)
+            case Frontier.NbrsOfClusters =>
+              Parallel.forRange(n, threads)(u => if (touched(cluster.get(u)) == passes) stampNbrs(u))
+              FrontierOps.stamped(next, passes)
           }
         }
       }

@@ -80,6 +80,7 @@ class FrameworkEdgeCasesSpec extends AnyFunSuite with Matchers {
     val gt = GraphGen.sbm(500, 10, 30, 6, 2, seed = 14)
     val res = SeqLouvain.cluster(gt.graph, 0.05, LouvainOptions(maxLevels = 1))
     res.numLevels shouldBe 1
+    an[IllegalArgumentException] should be thrownBy LouvainOptions(maxLevels = 0)
   }
 
   test("weighted negative edge keeps endpoints apart") {

@@ -1,5 +1,6 @@
 package repro.core
 
+import java.util.SplittableRandom
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalatest.matchers.should.Matchers
 import repro.TestGraphs
@@ -133,31 +134,63 @@ class SeqLouvainSpec extends AnyFunSuite with Matchers {
     // None of these runs race, so their labels are fixed; any change to the
     // move kernel, the frontier or compression that alters a result fails here.
     val g = GraphGen.sbm(1500, 10, 50, 8, 2, seed = 11).graph
+    val frontiers = Seq(Frontier.AllVertices, Frontier.NbrsOfClusters, Frontier.NbrsOfVertices)
+    val modes     = Seq(MoveMode.Async, MoveMode.Sync)
     def pin(r: LouvainResult): (Int, Int) = (java.util.Arrays.hashCode(r.clusters), r.numIterations)
     val got = Seq.newBuilder[(String, (Int, Int))]
     for (l <- Seq(0.05, 0.5)) {
-      for (f <- Seq(Frontier.AllVertices, Frontier.NbrsOfClusters, Frontier.NbrsOfVertices))
+      for (f <- frontiers)
         got += s"seq $l $f" -> pin(SeqLouvain.cluster(g, l, LouvainOptions(frontier = f, seed = 3)))
-      for (m <- Seq(MoveMode.Async, MoveMode.Sync))
-        got += s"par1 $l $m" -> pin(ParLouvain.cluster(g, l, LouvainOptions(mode = m, threads = 1)))
+      for (m <- modes; f <- frontiers)
+        got += s"par1 $l $m $f" ->
+          pin(ParLouvain.cluster(g, l, LouvainOptions(frontier = f, mode = m, threads = 1)))
     }
     got += "seq-mod 1.0" -> pin(SeqLouvain.clusterModularity(g, 1.0, LouvainOptions(seed = 3)))
+    for (m <- modes)
+      got += s"par1-mod 1.0 $m" ->
+        pin(ParLouvain.clusterModularity(g, 1.0, LouvainOptions(mode = m, threads = 1)))
     got += "plm1-mod 1.0" ->
       pin(PlmBaseline.clusterModularity(g, 1.0, LouvainOptions(numIter = 32, refine = false, threads = 1)))
-    // recorded before SEQ's move loop was merged into PAR's
+    // Fractional weights: cluster-weight sums are inexact, so the order in
+    // which they are accumulated could show here.
+    val r  = new SplittableRandom(5)
+    val gf = LocalGraph.fromEdges(g.numVertices,
+      g.undirectedEdges.map { case (u, v, _) => (u, v, 0.1 + r.nextDouble()) })
+    got += "frac seq-mod 1.0" -> pin(SeqLouvain.clusterModularity(gf, 1.0, LouvainOptions(seed = 3)))
+    got += "frac seq 0.3"     -> pin(SeqLouvain.cluster(gf, 0.3, LouvainOptions(seed = 3)))
+    for (m <- modes)
+      got += s"frac par1-mod 1.0 $m" ->
+        pin(ParLouvain.clusterModularity(gf, 1.0, LouvainOptions(mode = m, threads = 1)))
+    // recorded before SEQ's move loop was merged into PAR's; the par1 frontier,
+    // par1-mod and fractional-weight rows before the sync rebuild and the
+    // cluster-size counters were removed from the BEST-MOVES body
     val expected = Seq[(String, (Int, Int))](
-      "seq 0.05 AllVertices"     -> (1413137492, 17),
-      "seq 0.05 NbrsOfClusters"  -> (1413137492, 18),
-      "seq 0.05 NbrsOfVertices"  -> (1413137492, 17),
-      "par1 0.05 Async"          -> (1413137492, 17),
-      "par1 0.05 Sync"           -> (-1009257743, 70),
-      "seq 0.5 AllVertices"      -> (-1979924885, 13),
-      "seq 0.5 NbrsOfClusters"   -> (1042017088, 12),
-      "seq 0.5 NbrsOfVertices"   -> (1042017088, 13),
-      "par1 0.5 Async"           -> (1891801917, 14),
-      "par1 0.5 Sync"            -> (-1711588034, 90),
-      "seq-mod 1.0"              -> (410895665, 21),
-      "plm1-mod 1.0"             -> (2058818528, 24),
+      "seq 0.05 AllVertices"           -> (1413137492, 17),
+      "seq 0.05 NbrsOfClusters"        -> (1413137492, 18),
+      "seq 0.05 NbrsOfVertices"        -> (1413137492, 17),
+      "par1 0.05 Async AllVertices"    -> (1413137492, 17),
+      "par1 0.05 Async NbrsOfClusters" -> (1413137492, 17),
+      "par1 0.05 Async NbrsOfVertices" -> (1413137492, 17),
+      "par1 0.05 Sync AllVertices"     -> (-1009257743, 70),
+      "par1 0.05 Sync NbrsOfClusters"  -> (-1009257743, 70),
+      "par1 0.05 Sync NbrsOfVertices"  -> (-1009257743, 70),
+      "seq 0.5 AllVertices"            -> (-1979924885, 13),
+      "seq 0.5 NbrsOfClusters"         -> (1042017088, 12),
+      "seq 0.5 NbrsOfVertices"         -> (1042017088, 13),
+      "par1 0.5 Async AllVertices"     -> (-1505659899, 12),
+      "par1 0.5 Async NbrsOfClusters"  -> (-1505659899, 12),
+      "par1 0.5 Async NbrsOfVertices"  -> (1891801917, 14),
+      "par1 0.5 Sync AllVertices"      -> (-1711588034, 90),
+      "par1 0.5 Sync NbrsOfClusters"   -> (-1711588034, 90),
+      "par1 0.5 Sync NbrsOfVertices"   -> (-1711588034, 90),
+      "seq-mod 1.0"                    -> (410895665, 21),
+      "par1-mod 1.0 Async"             -> (2058818528, 21),
+      "par1-mod 1.0 Sync"              -> (70474280, 70),
+      "plm1-mod 1.0"                   -> (2058818528, 24),
+      "frac seq-mod 1.0"               -> (1212844740, 21),
+      "frac seq 0.3"                   -> (1921390294, 13),
+      "frac par1-mod 1.0 Async"        -> (-56581148, 21),
+      "frac par1-mod 1.0 Sync"         -> (-2126753284, 50),
     )
     got.result() shouldBe expected
   }
