@@ -2,6 +2,7 @@ package repro.baselines
 
 import java.util.SplittableRandom
 import java.util.concurrent.atomic.AtomicIntegerArray
+import repro.core.FrontierOps
 import repro.graph.LocalGraph
 import repro.util.Parallel
 
@@ -30,10 +31,8 @@ object KwikCluster {
     * variants, so C4 can be tested for exact output equivalence.
     */
   private[repro] def randomPriority(n: Int, seed: Long): Array[Int] = {
-    val rng  = new SplittableRandom(seed)
-    val prio = Array.tabulate(n)(identity)
-    var i = n - 1
-    while (i > 0) { val j = rng.nextInt(i + 1); val t = prio(i); prio(i) = prio(j); prio(j) = t; i -= 1 }
+    val prio = FrontierOps.all(n)
+    FrontierOps.shuffle(prio, new SplittableRandom(seed))
     prio
   }
 

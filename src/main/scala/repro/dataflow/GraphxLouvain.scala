@@ -3,8 +3,9 @@ package repro.dataflow
 import org.apache.spark.graphx.{Edge, Graph, TripletFields, VertexId}
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
-import repro.core.Objective
+import repro.core.{Compress, Objective}
 import repro.graph.LocalGraph
+import scala.collection.mutable.ArrayBuffer
 
 /** GX-CC: the LambdaCC Louvain scheme as GraphX vertex programs (the repro
   * band's "GraphX vertex programs iterating over edges for cluster merges").
@@ -14,90 +15,72 @@ import repro.graph.LocalGraph
   * each vertex aggregates edge weight per neighboring cluster, scores
   * candidate moves with the appendix-A delta against broadcast cluster
   * weights K_c, and a pseudo-random half of improvable vertices moves
-  * (symmetry breaking). Levels end by contracting the graph with
-  * `reduceByKey` over cluster-id pairs and recursing; the assignment is
-  * flattened back through joins.
+  * (symmetry breaking). A level ends by collecting its assignment, densifying
+  * it with `Objective.normalize` and contracting the graph through a
+  * broadcast of it, with `reduceByKey` over cluster-id pairs and over vertex
+  * weights; `Compress.flatten` composes the levels at the end.
   *
-  * K_c is broadcast as a map (clusters ≤ vertices; fine at container scale —
-  * a billion-edge deployment would join against an RDD instead).
+  * K_c and each level's assignment are broadcast (at most one entry per
+  * vertex; fine at container scale — a billion-edge deployment would join
+  * against RDDs instead).
   */
 object GraphxLouvain {
-
-  /** Detach-to-fresh-singleton id offset (mirrors the shared-memory spare). */
-  private val DetachOffset = 1L << 40
 
   final case class Result(clusters: Array[Int], levels: Int, rounds: Int)
 
   /** Cluster `lg` under the CC objective at resolution `lambda`. */
   def cluster(spark: SparkSession, lg: LocalGraph, lambda: Double,
               numIter: Int = 8, maxLevels: Int = 6, seed: Long = 42): Result = {
+    require(maxLevels >= 1, s"maxLevels must be at least 1, got $maxLevels")
     val sc = spark.sparkContext
-    val n  = lg.numVertices
     var vertices = sc.parallelize(
-      (0 until n).map(v => (v.toLong: VertexId, lg.vertexWeight(v))))
+      (0 until lg.numVertices).map(v => (v.toLong: VertexId, lg.vertexWeight(v))))
     var edges = sc.parallelize(lg.undirectedEdges.map { case (u, v, w) =>
       Edge(u.toLong, v.toLong, w)
     })
-    // assignment of ORIGINAL vertices onto the current level's vertex ids
-    var flat = sc.parallelize((0 until n).map(v => (v.toLong, v.toLong)))
-    var level = 0
+    // per level, the dense assignment of its vertices onto the next level's
+    val levels = ArrayBuffer.empty[Array[Int]]
+    var nL = lg.numVertices
     var rounds = 0
     var done = false
-    while (!done && level < maxLevels) {
+    while (!done && levels.length < maxLevels) {
       val (assign, r, moved) = levelRounds(spark, vertices, edges, lambda, numIter,
-        seed + level * 7919)
+        seed + levels.length * 7919, nL)
       rounds += r
-      level += 1
-      if (!moved) done = true
+      val cids = new Array[Int](nL)
+      assign.collect().foreach { case (v, c) => cids(v.toInt) = c.toInt }
+      val dense = Objective.normalize(cids)
+      val nC    = if (dense.isEmpty) 0 else dense.max + 1
+      levels += dense
+      if (!moved || nC == nL) done = true
       else {
-        // densify level cluster ids so they become next-level vertex ids
-        val ids = assign.values.distinct().zipWithIndex()
-          .mapValues(_.toLong).persist(StorageLevel.MEMORY_AND_DISK)
-        val denseAssign = assign.map { case (v, c) => (c, v) }.join(ids)
-          .map { case (_, (v, newC)) => (v, newC) }
+        // contract through the broadcast assignment; cluster ids become the
+        // next level's vertex ids
+        val denseB = sc.broadcast(dense)
+        edges = edges.map { e =>
+          val a = denseB.value(e.srcId.toInt); val b = denseB.value(e.dstId.toInt)
+          ((math.min(a, b), math.max(a, b)), e.attr)
+        }.filter { case ((a, b), _) => a != b }
+          .reduceByKey(_ + _)
+          .map { case ((a, b), w) => Edge(a.toLong, b.toLong, w) }
           .persist(StorageLevel.MEMORY_AND_DISK)
-        denseAssign.count() // materialize before unpersisting upstream
-        val nC = ids.count()
-        val nV = vertices.count()
-        flat = flat.map { case (orig, mid) => (mid, orig) }
-          .join(denseAssign)
-          .map { case (_, (orig, c)) => (orig, c) }
+        vertices = vertices.map { case (v, k) => (denseB.value(v.toInt).toLong: VertexId, k) }
+          .reduceByKey(_ + _)
           .persist(StorageLevel.MEMORY_AND_DISK)
-        flat.count()
-        if (nC == nV) done = true
-        else {
-          val assignMap = denseAssign
-          val newEdges = edges.map(e => (e.srcId, (e.dstId, e.attr)))
-            .join(assignMap)
-            .map { case (_, ((dst, w), cs)) => (dst, (cs, w)) }
-            .join(assignMap)
-            .map { case (_, ((cs, w), cd)) => ((math.min(cs, cd), math.max(cs, cd)), w) }
-            .filter { case ((a, b), _) => a != b }
-            .reduceByKey(_ + _)
-            .map { case ((a, b), w) => Edge(a, b, w) }
-            .persist(StorageLevel.MEMORY_AND_DISK)
-          val newVertices = vertices.join(assignMap)
-            .map { case (_, (k, c)) => (c, k) }
-            .reduceByKey(_ + _)
-            .persist(StorageLevel.MEMORY_AND_DISK)
-          newEdges.count(); newVertices.count()
-          edges = newEdges
-          vertices = newVertices
-        }
+        nL = nC
       }
     }
-    val out = new Array[Int](n)
-    flat.collect().foreach { case (orig, c) => out(orig.toInt) = c.toInt }
-    Result(out, level, rounds)
+    Result(levels.reduceRight(Compress.flatten(_, _)), levels.length, rounds)
   }
 
-  /** Synchronous best-move rounds on one level. Returns (levelVertex → cid,
-    * rounds, anyMoved); cluster ids start as vertex ids.
+  /** Synchronous best-move rounds on one level of `nL` vertices. Returns
+    * (levelVertex → cid, rounds, anyMoved); cluster ids start as vertex ids,
+    * and v detaches to the fresh id nL + v (the shared-memory spare).
     */
   private def levelRounds(spark: SparkSession,
                           vertices: org.apache.spark.rdd.RDD[(VertexId, Double)],
                           edges: org.apache.spark.rdd.RDD[Edge[Double]],
-                          lambda: Double, numIter: Int, seed: Long)
+                          lambda: Double, numIter: Int, seed: Long, nL: Int)
       : (org.apache.spark.rdd.RDD[(VertexId, VertexId)], Int, Boolean) = {
     val sc = spark.sparkContext
     // VD = (cid, k); initial cluster = own vertex id
@@ -135,8 +118,8 @@ object GraphxLouvain {
             if (d > bestDelta) { bestDelta = d; bestT = c2 }
           }
         }
-        if (removeGain > bestDelta && cid != v + DetachOffset) {
-          bestDelta = removeGain; bestT = v + DetachOffset
+        if (removeGain > bestDelta && cid != nL + v) {
+          bestDelta = removeGain; bestT = nL + v
         }
         if (bestT != cid) Some((v, bestT)) else None
       }.persist(StorageLevel.MEMORY_AND_DISK)

@@ -189,6 +189,23 @@ class DenseLouvainSpec extends AnyFunSuite with Matchers {
     an[IllegalArgumentException] should be thrownBy DenseLouvain.cluster(gt.graph, 0.1)
   }
 
+  test("rescaled graph at lambda 0 has the LambdaCC objective of the input") {
+    val rng = new java.util.SplittableRandom(17)
+    for (i <- 0 until 40) {
+      val raw    = TestGraphs.randomWeighted(10 + rng.nextInt(30), 0.05 + 0.5 * rng.nextDouble(), i)
+      val g      = if (i % 2 == 0) raw else raw.withDegreeWeights
+      val lambda = rng.nextDouble()
+      val h      = DenseLouvain.rescaled(g, lambda)
+      for (s <- 0 until 10) {
+        val c    = TestGraphs.randomClustering(g.numVertices, 1 + rng.nextInt(4), 1000L * i + s)
+        val want = Objective.cc(g, c, lambda)
+        // relative error; an edgeless graph under degree weights scores an
+        // exact 0 on both sides
+        math.abs(Objective.cc(h, c, 0.0) - want) should be <= 1e-9 * math.abs(want)
+      }
+    }
+  }
+
   test("objective is locally optimal on small graphs") {
     val g  = TestGraphs.randomWeighted(20, 0.3, 3)
     val cl = Objective.normalize(DenseLouvain.cluster(g, 0.3))

@@ -22,6 +22,9 @@ class GraphxLouvainSpec extends SparkSpec with Matchers {
     res.clusters.length shouldBe 300
     res.levels should be >= 1
     res.rounds should be >= 1
+    res.clusters.toSet shouldBe (0 to res.clusters.max).toSet
+    an[IllegalArgumentException] should be thrownBy
+      GraphxLouvain.cluster(spark, gt.graph, lambda = 0.4, maxLevels = 0)
   }
 
   test("objective is positive and comparable to shared-memory PAR-CC") {
