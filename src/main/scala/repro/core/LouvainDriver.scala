@@ -53,7 +53,7 @@ private[repro] object LouvainDriver {
     var timedOut   = false
     var done       = false
     while (!done && stack.length < opts.maxLevels) {
-      val init = Array.tabulate(curG.numVertices)(identity)
+      val init = Array.range(0, curG.numVertices)
       val bm   = engine.bestMoves(curG, lambda, opts, rng, init)
       iterations += bm.passes
       timedOut ||= bm.timedOut
@@ -96,7 +96,7 @@ private[repro] object LouvainDriver {
   */
 private[repro] object FrontierOps {
 
-  def all(n: Int): Array[Int] = Array.tabulate(n)(identity)
+  def all(n: Int): Array[Int] = Array.range(0, n)
 
   /** The vertices `v` with `stamp(v) == pass`, ascending. */
   def stamped(stamp: Array[Int], pass: Int): Array[Int] = {

@@ -28,45 +28,94 @@ object GraphGen {
 
   /** rMAT generator with the paper's parameters. Duplicate edges are merged
     * (weight 1 retained — unweighted semantics), self-loops dropped.
+    *
+    * Each level draws `x = nextLong() >>> 11`, the 53-bit integer that
+    * `nextDouble()` scales by 2^-53, and reads the quadrant from the sign bits
+    * of x against the integer cuts of a, a+b and a+b+c. That picks the quadrant
+    * `nextDouble()` compared with a, a+b and a+b+c would pick, with no
+    * data-dependent branch to mispredict.
     */
   def rmat(scale: Int, numEdges: Long, seed: Long = 7): LocalGraph = {
-    val n   = 1 << scale
+    require(scale >= 1 && scale <= 30, s"rMAT scale must be in [1, 30], got $scale")
+    require(numEdges >= 0 && numEdges <= MaxArrayLength,
+            s"rMAT numEdges must be in [0, $MaxArrayLength], got $numEdges")
     val rng = new SplittableRandom(seed)
     val a   = 0.5; val b = 0.1; val c = 0.1 // quadrant probabilities; d = 1 − a − b − c
-    val ab  = a + b
-    val abc = a + b + c
-    val edges = new ArrayBuilder.ofLong
+    // Each holds quadrantCut(p) − 1: x ≥ quadrantCut(p) ⇔ ((cut − x) >>> 63) == 1 for 0 ≤ x < 2^53.
+    val cutA = quadrantCut(a) - 1; val cutAB = quadrantCut(a + b) - 1; val cutABC = quadrantCut(a + b + c) - 1
+    val pairs = new Array[Long](numEdges.toInt)
+    var m = 0
     var e = 0L
     while (e < numEdges) {
-      var u = 0; var v = 0; var bit = 1 << (scale - 1)
-      while (bit > 0) {
-        val r = rng.nextDouble()
-        if (r < a) {} // top-left
-        else if (r < ab) v |= bit
-        else if (r < abc) u |= bit
-        else { u |= bit; v |= bit }
-        bit >>= 1
+      var u = 0; var v = 0; var level = 0
+      while (level < scale) {
+        val x     = rng.nextLong() >>> 11
+        val geA   = ((cutA - x) >>> 63).toInt
+        val geAB  = ((cutAB - x) >>> 63).toInt
+        val geABC = ((cutABC - x) >>> 63).toInt
+        // quadrant a: (0, 0); b: (0, 1); c: (1, 0); d: (1, 1)
+        u = u << 1 | geAB
+        v = v << 1 | (geA - geAB + geABC)
+        level += 1
       }
-      if (u != v) edges += pair(u, v)
+      if (u != v) { pairs(m) = pair(u, v); m += 1 }
       e += 1
     }
-    simpleGraph(n, edges.result())
+    simpleGraph(1 << scale, pairs, m)
   }
+
+  /** Longest array the JVM reliably allocates. */
+  private val MaxArrayLength = Int.MaxValue - 8
+
+  /** The least integer x with x·2^-53 ≥ p: a 53-bit draw x falls below the cut
+    * exactly when `x * 2^-53 < p`, the test `nextDouble() < p` makes.
+    */
+  private[graph] def quadrantCut(p: Double): Long = math.ceil(p * (1L << 53)).toLong
 
   /** Pack the unordered pair {u, v} as min<<32 | max (ids are non-negative). */
   private def pair(u: Int, v: Int): Long =
     math.min(u, v).toLong << 32 | math.max(u, v)
 
-  /** Unweighted simple graph on the distinct packed pairs in `pairs`: duplicates
-    * collapse to one weight-1 edge. Sorts `pairs` in place.
+  /** Unweighted simple graph on the distinct packed pairs in `pairs(0 until len)`:
+    * duplicates collapse to one weight-1 edge. Reorders `pairs` in place.
+    *
+    * Two stable counting passes, by max and then by min, put the pairs in
+    * ascending (min, max) order, the order of sorting the packed longs.
     */
-  private def simpleGraph(n: Int, pairs: Array[Long]): LocalGraph = {
-    java.util.Arrays.sort(pairs)
-    var m = 0
-    for (i <- pairs.indices) if (i == 0 || pairs(i) != pairs(i - 1)) { pairs(m) = pairs(i); m += 1 }
-    val src = Array.tabulate(m)(i => (pairs(i) >>> 32).toInt)
-    val dst = Array.tabulate(m)(i => pairs(i).toInt)
-    LocalGraph.fromEdgeArrays(n, src, dst, Array.fill(m)(1.0))
+  private def simpleGraph(n: Int, pairs: Array[Long], len: Int): LocalGraph = {
+    val byMax = new Array[Int](n + 1); val byMin = new Array[Int](n + 1)
+    var i = 0
+    while (i < len) {
+      val p = pairs(i); byMax(p.toInt + 1) += 1; byMin((p >>> 32).toInt + 1) += 1; i += 1
+    }
+    val tmp = new Array[Long](len)
+    countingScatter(pairs, tmp, len, byMax, 0)
+    countingScatter(tmp, pairs, len, byMin, 32)
+    val src = new Array[Int](len); val dst = new Array[Int](len)
+    var m = 0; i = 0
+    while (i < len) {
+      val p = pairs(i)
+      if (i == 0 || p != pairs(i - 1)) { src(m) = (p >>> 32).toInt; dst(m) = p.toInt; m += 1 }
+      i += 1
+    }
+    val wgt = new Array[Double](m)
+    java.util.Arrays.fill(wgt, 1.0)
+    LocalGraph.fromEdgeArrays(n, java.util.Arrays.copyOf(src, m), java.util.Arrays.copyOf(dst, m), wgt)
+  }
+
+  /** Stable scatter of `from(0 until len)` into `to` by the id at bit `shift`,
+    * given `count(id + 1)` = the number of pairs with that id.
+    */
+  private def countingScatter(from: Array[Long], to: Array[Long], len: Int,
+                              count: Array[Int], shift: Int): Unit = {
+    var v = 1
+    while (v < count.length) { count(v) += count(v - 1); v += 1 }
+    var i = 0
+    while (i < len) {
+      val p = from(i); val id = (p >>> shift).toInt
+      to(count(id)) = p; count(id) += 1
+      i += 1
+    }
   }
 
   // ------------------------------------------------- planted partition -----
@@ -103,7 +152,7 @@ object GraphGen {
         var i = 0
         while (i < draws) {
           val u = lo + rng.nextInt(size)
-          if (u != v) edges += pair(v, u)
+          if (u != v) edges.addOne(pair(v, u))
           i += 1
         }
       }
@@ -116,7 +165,7 @@ object GraphGen {
       var i = 0
       while (i < draws) {
         val u = rng.nextInt(n)
-        if (u != v) edges += pair(v, u)
+        if (u != v) edges.addOne(pair(v, u))
         i += 1
       }
       v += 1
@@ -128,12 +177,13 @@ object GraphGen {
       var i = 0
       while (i < hubDegree) {
         val u = rng.nextInt(n)
-        if (u != hub) edges += pair(hub, u)
+        if (u != hub) edges.addOne(pair(hub, u))
         i += 1
       }
       h += 1
     }
-    val g = simpleGraph(n, edges.result())
+    val pairs = edges.result()
+    val g     = simpleGraph(n, pairs, pairs.length)
     val comms = commBounds.zipWithIndex
       .map { case ((lo, hi), _) => Array.range(lo, hi) }
       .sortBy(-_.length)

@@ -62,12 +62,17 @@ final class LocalGraph(
     */
   def withVertexWeights(k: Array[Double]): LocalGraph = {
     require(k.length == numVertices)
-    new LocalGraph(numVertices, offsets, nbrs, wgts, k, selfLoop, k.map(x => x * x))
+    val sq = new Array[Double](numVertices)
+    var v = 0
+    while (v < numVertices) { sq(v) = k(v) * k(v); v += 1 }
+    new LocalGraph(numVertices, offsets, nbrs, wgts, k, selfLoop, sq)
   }
 
   /** Modularity-style weights: k_v = weighted degree + 2·selfLoop. */
   def withDegreeWeights: LocalGraph = {
-    val k = Array.tabulate(numVertices)(v => weightedDegree(v) + 2 * selfLoop(v))
+    val k = new Array[Double](numVertices)
+    var v = 0
+    while (v < numVertices) { k(v) = weightedDegree(v) + 2 * selfLoop(v); v += 1 }
     withVertexWeights(k)
   }
 
@@ -103,7 +108,10 @@ object LocalGraph {
     */
   def fromEdges(numVertices: Int, edges: IterableOnce[(Int, Int, Double)]): LocalGraph = {
     val src = new ArrayBuilder.ofInt; val dst = new ArrayBuilder.ofInt; val wgt = new ArrayBuilder.ofDouble
-    edges.iterator.foreach { case (u, v, w) => src += u; dst += v; wgt += w }
+    val it   = edges.iterator
+    val size = it.knownSize
+    if (size > 0) { src.sizeHint(size); dst.sizeHint(size); wgt.sizeHint(size) }
+    it.foreach { case (u, v, w) => src.addOne(u); dst.addOne(v); wgt.addOne(w) }
     fromEdgeArrays(numVertices, src.result(), dst.result(), wgt.result())
   }
 
@@ -115,26 +123,34 @@ object LocalGraph {
   def fromEdgeArrays(numVertices: Int, src: Array[Int], dst: Array[Int],
                      wgt: Array[Double]): LocalGraph = {
     val n = numVertices
-    require(src.length == dst.length && dst.length == wgt.length, "edge arrays differ in length")
+    val m = src.length
+    require(m == dst.length && dst.length == wgt.length, "edge arrays differ in length")
     val selfLoop = new Array[Double](n)
     val offsets  = new Array[Int](n + 1)
-    for (e <- src.indices) {
+    var e = 0
+    while (e < m) {
       val u = src(e); val v = dst(e)
-      require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u,$v) out of range")
+      if (u < 0 || u >= n || v < 0 || v >= n)
+        throw new IllegalArgumentException(s"requirement failed: edge ($u,$v) out of range")
       if (u == v) selfLoop(u) += wgt(e) else { offsets(u + 1) += 1; offsets(v + 1) += 1 }
+      e += 1
     }
-    for (v <- 0 until n) offsets(v + 1) += offsets(v)
+    var x = 0
+    while (x < n) { offsets(x + 1) += offsets(x); x += 1 }
     val pos  = java.util.Arrays.copyOf(offsets, n)
     val nbrs = new Array[Int](offsets(n))
     val wgts = new Array[Double](offsets(n))
-    for (e <- src.indices) {
+    e = 0
+    while (e < m) {
       val u = src(e); val v = dst(e)
       if (u != v) {
         nbrs(pos(u)) = v; wgts(pos(u)) = wgt(e); pos(u) += 1
         nbrs(pos(v)) = u; wgts(pos(v)) = wgt(e); pos(v) += 1
       }
+      e += 1
     }
-    val ones = Array.fill(n)(1.0)
+    val ones = new Array[Double](n)
+    java.util.Arrays.fill(ones, 1.0)
     val raw  = new LocalGraph(n, offsets, nbrs, wgts, ones, selfLoop, ones)
     repro.core.Compress.compress(raw, Array.range(0, n), n)
   }

@@ -101,4 +101,45 @@ class GraphGenSpec extends AnyFunSuite with Matchers {
     a.totalEdgeWeight shouldBe 6813.0
     edgeSetHash(a) shouldBe 5772713034880994937L
   }
+
+  test("generators reproduce their pinned CSR arrays") {
+    // Move ties are broken by adjacency order, so the row layout matters as
+    // much as the edge set. Values recorded before the rMAT sampling and the
+    // pair sort were rewritten.
+    def csr(g: LocalGraph) = (java.util.Arrays.hashCode(g.offsets),
+                              java.util.Arrays.hashCode(g.nbrs), java.util.Arrays.hashCode(g.wgts))
+    csr(GraphGen.rmat(12, 40_000, seed = 7)) shouldBe ((-365779603, -92857023, -838139455))
+    csr(GraphGen.presetSmall("amazon-lite").graph) shouldBe ((649555373, 675046535, 751643841))
+    val hubby = GraphGen.sbm(n = 3000, minSize = 10, maxSize = 50, dIn = 5, dOut = 1, seed = 7,
+                             hubs = 3, hubDegree = 500).graph
+    csr(hubby) shouldBe ((13013596, 391685090, -721578239))
+  }
+
+  test("rMAT quadrant cuts agree with nextDouble() < p") {
+    // nextDouble() is (nextLong() >>> 11) * 2^-53, so the integer draw x falls
+    // below the cut exactly when the double falls below p.
+    val Unit53 = 1.0 / (1L << 53)
+    for (p <- Seq(0.5, 0.5 + 0.1, 0.5 + 0.1 + 0.1)) {
+      val cut = GraphGen.quadrantCut(p)
+      for (x <- Seq(cut - 1, cut, cut + 1))
+        withClue(s"p=$p x=$x: ") { (x < cut) shouldBe (x * Unit53 < p) }
+    }
+  }
+
+  test("rMAT edge cases: two vertices, no edges") {
+    val two = GraphGen.rmat(scale = 1, numEdges = 10, seed = 3)
+    two.numVertices shouldBe 2
+    two.undirectedEdges shouldBe Seq((0, 1, 1.0))
+    val empty = GraphGen.rmat(scale = 5, numEdges = 0, seed = 3)
+    empty.numVertices shouldBe 32
+    empty.numEdges shouldBe 0L
+    empty.offsets.forall(_ == 0) shouldBe true
+  }
+
+  test("rMAT rejects a scale or edge count it cannot represent") {
+    an[IllegalArgumentException] should be thrownBy GraphGen.rmat(scale = 0, numEdges = 10)
+    an[IllegalArgumentException] should be thrownBy GraphGen.rmat(scale = 31, numEdges = 10)
+    an[IllegalArgumentException] should be thrownBy GraphGen.rmat(scale = 10, numEdges = -1)
+    an[IllegalArgumentException] should be thrownBy GraphGen.rmat(scale = 10, numEdges = Int.MaxValue.toLong)
+  }
 }
