@@ -31,7 +31,7 @@ object KwikCluster {
     * variants, so C4 can be tested for exact output equivalence.
     */
   private[repro] def randomPriority(n: Int, seed: Long): Array[Int] = {
-    val prio = FrontierOps.all(n)
+    val prio = Array.range(0, n)
     FrontierOps.shuffle(prio, new SplittableRandom(seed))
     prio
   }

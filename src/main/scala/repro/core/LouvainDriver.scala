@@ -96,8 +96,6 @@ private[repro] object LouvainDriver {
   */
 private[repro] object FrontierOps {
 
-  def all(n: Int): Array[Int] = Array.range(0, n)
-
   /** The vertices `v` with `stamp(v) == pass`, ascending. */
   def stamped(stamp: Array[Int], pass: Int): Array[Int] = {
     var c = 0; var i = 0

@@ -56,7 +56,7 @@ object ParLouvain extends LouvainEngine {
     val next       = new Array[Int](if (opts.frontier == Frontier.AllVertices) 0 else n)
     val touched    = new Array[Int](if (opts.frontier == Frontier.NbrsOfClusters) 2 * n else 0)
     val moved      = new LongAdder
-    var frontier   = FrontierOps.all(n)
+    var frontier   = Array.range(0, n)
     var passes     = 0
     var anyMoved   = false
     var timedOut   = false
@@ -128,7 +128,7 @@ object ParLouvain extends LouvainEngine {
         else {
           anyMoved = true
           frontier = opts.frontier match {
-            case Frontier.AllVertices    => FrontierOps.all(n)
+            case Frontier.AllVertices    => Array.range(0, n)
             case Frontier.NbrsOfVertices => FrontierOps.stamped(next, passes)
             case Frontier.NbrsOfClusters =>
               Parallel.forRange(n, threads)(u => if (touched(cluster.get(u)) == passes) stampNbrs(u))

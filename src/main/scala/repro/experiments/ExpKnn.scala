@@ -30,7 +30,7 @@ object ExpKnn {
       val ps = KnnGraph.gaussianMixture(ds.n, dim = ds.dim, classes = ds.classes,
         sigma = ds.sigma, seed = 42)
       val gw = KnnGraph.cosineKnnGraph(ps, k = 50)
-      val gu = KnnGraph.unweighted(gw)
+      val gu = gw.unweighted // the paper's PAR-CC vs PAR-CC^W
       val comms = communitiesOf(ps.labels)
       def score(name: String, param: String, cl: Array[Int]): Unit = {
         val pr = Metrics.averagePrecisionRecall(comms, cl, topK = ds.classes)

@@ -43,10 +43,9 @@ object GraphGen {
     val a   = 0.5; val b = 0.1; val c = 0.1 // quadrant probabilities; d = 1 − a − b − c
     // Each holds quadrantCut(p) − 1: x ≥ quadrantCut(p) ⇔ ((cut − x) >>> 63) == 1 for 0 ≤ x < 2^53.
     val cutA = quadrantCut(a) - 1; val cutAB = quadrantCut(a + b) - 1; val cutABC = quadrantCut(a + b + c) - 1
-    val pairs = new Array[Long](numEdges.toInt)
-    var m = 0
-    var e = 0L
-    while (e < numEdges) {
+    val src = new Array[Int](numEdges.toInt); val dst = new Array[Int](numEdges.toInt)
+    var e = 0
+    while (e < src.length) {
       var u = 0; var v = 0; var level = 0
       while (level < scale) {
         val x     = rng.nextLong() >>> 11
@@ -58,10 +57,10 @@ object GraphGen {
         v = v << 1 | (geA - geAB + geABC)
         level += 1
       }
-      if (u != v) { pairs(m) = pair(u, v); m += 1 }
+      src(e) = u; dst(e) = v
       e += 1
     }
-    simpleGraph(1 << scale, pairs, m)
+    simpleGraph(1 << scale, src, dst)
   }
 
   /** Longest array the JVM reliably allocates. */
@@ -72,51 +71,12 @@ object GraphGen {
     */
   private[graph] def quadrantCut(p: Double): Long = math.ceil(p * (1L << 53)).toLong
 
-  /** Pack the unordered pair {u, v} as min<<32 | max (ids are non-negative). */
-  private def pair(u: Int, v: Int): Long =
-    math.min(u, v).toLong << 32 | math.max(u, v)
-
-  /** Unweighted simple graph on the distinct packed pairs in `pairs(0 until len)`:
-    * duplicates collapse to one weight-1 edge. Reorders `pairs` in place.
-    *
-    * Two stable counting passes, by max and then by min, put the pairs in
-    * ascending (min, max) order, the order of sorting the packed longs.
+  /** Unweighted simple graph on the pairs {src(e), dst(e)}: duplicates collapse
+    * to one weight-1 edge and self-loops are dropped. The zero weights handed
+    * to the builder are placeholders that `unweighted` replaces.
     */
-  private def simpleGraph(n: Int, pairs: Array[Long], len: Int): LocalGraph = {
-    val byMax = new Array[Int](n + 1); val byMin = new Array[Int](n + 1)
-    var i = 0
-    while (i < len) {
-      val p = pairs(i); byMax(p.toInt + 1) += 1; byMin((p >>> 32).toInt + 1) += 1; i += 1
-    }
-    val tmp = new Array[Long](len)
-    countingScatter(pairs, tmp, len, byMax, 0)
-    countingScatter(tmp, pairs, len, byMin, 32)
-    val src = new Array[Int](len); val dst = new Array[Int](len)
-    var m = 0; i = 0
-    while (i < len) {
-      val p = pairs(i)
-      if (i == 0 || p != pairs(i - 1)) { src(m) = (p >>> 32).toInt; dst(m) = p.toInt; m += 1 }
-      i += 1
-    }
-    val wgt = new Array[Double](m)
-    java.util.Arrays.fill(wgt, 1.0)
-    LocalGraph.fromEdgeArrays(n, java.util.Arrays.copyOf(src, m), java.util.Arrays.copyOf(dst, m), wgt)
-  }
-
-  /** Stable scatter of `from(0 until len)` into `to` by the id at bit `shift`,
-    * given `count(id + 1)` = the number of pairs with that id.
-    */
-  private def countingScatter(from: Array[Long], to: Array[Long], len: Int,
-                              count: Array[Int], shift: Int): Unit = {
-    var v = 1
-    while (v < count.length) { count(v) += count(v - 1); v += 1 }
-    var i = 0
-    while (i < len) {
-      val p = from(i); val id = (p >>> shift).toInt
-      to(count(id)) = p; count(id) += 1
-      i += 1
-    }
-  }
+  private def simpleGraph(n: Int, src: Array[Int], dst: Array[Int]): LocalGraph =
+    LocalGraph.fromEdgeArrays(n, src, dst, new Array[Double](src.length)).unweighted
 
   // ------------------------------------------------- planted partition -----
 
@@ -141,7 +101,7 @@ object GraphGen {
       while (v < start + size) { membership(v) = cid; v += 1 }
       start += size; cid += 1
     }
-    val edges = new ArrayBuilder.ofLong
+    val src = new ArrayBuilder.ofInt; val dst = new ArrayBuilder.ofInt
     // internal half-edges
     var v = 0
     while (v < n) {
@@ -152,7 +112,7 @@ object GraphGen {
         var i = 0
         while (i < draws) {
           val u = lo + rng.nextInt(size)
-          if (u != v) edges.addOne(pair(v, u))
+          src.addOne(v); dst.addOne(u)
           i += 1
         }
       }
@@ -165,7 +125,7 @@ object GraphGen {
       var i = 0
       while (i < draws) {
         val u = rng.nextInt(n)
-        if (u != v) edges.addOne(pair(v, u))
+        src.addOne(v); dst.addOne(u)
         i += 1
       }
       v += 1
@@ -177,13 +137,12 @@ object GraphGen {
       var i = 0
       while (i < hubDegree) {
         val u = rng.nextInt(n)
-        if (u != hub) edges.addOne(pair(hub, u))
+        src.addOne(hub); dst.addOne(u)
         i += 1
       }
       h += 1
     }
-    val pairs = edges.result()
-    val g     = simpleGraph(n, pairs, pairs.length)
+    val g     = simpleGraph(n, src.result(), dst.result())
     val comms = commBounds.zipWithIndex
       .map { case ((lo, hi), _) => Array.range(lo, hi) }
       .sortBy(-_.length)

@@ -10,8 +10,8 @@ import scala.collection.mutable.ArrayBuilder
   * (u→v and v→u) with bitwise-equal weights. Self-loops are NOT stored as
   * adjacency entries; intra-super-vertex weight accumulated by coarsening
   * lives in `selfLoop` so the exact CC objective is computable at any level.
-  * There is one CSR builder: the builders below and compression both run
-  * `Compress.compress`'s cluster-major kernel.
+  * Every row reads [higher neighbours ascending | lower neighbours ascending],
+  * as both the builders below and `Compress.compress` write it.
   *
   * @param vertexWeight  k_v of the LambdaCC objective (1 for CC, degree for
   *                      modularity, sum of constituents after coarsening)
@@ -76,6 +76,12 @@ final class LocalGraph(
     withVertexWeights(k)
   }
 
+  /** The same rows with every edge weight 1.0 and no self-loops (k kept). */
+  def unweighted: LocalGraph = {
+    val ones = new Array[Double](wgts.length); java.util.Arrays.fill(ones, 1.0)
+    new LocalGraph(numVertices, offsets, nbrs, ones, vertexWeight, new Array[Double](numVertices), sqWeight)
+  }
+
   /** Estimated retained bytes of the CSR arrays (paper's Fig-8 denominator is
     * CSR bytes; we account both sides of the comparison the same way).
     */
@@ -116,43 +122,83 @@ object LocalGraph {
   }
 
   /** Primitive form of [[fromEdges]]: edge e is {src(e), dst(e)} with weight
-    * wgt(e). The edges are counting-sorted into a raw CSR that may hold
-    * duplicates, which [[repro.core.Compress.compress]] under the identity
-    * clustering then merges — the one CSR builder of the code base.
+    * wgt(e), which must be finite. The one place pairs are sorted and merged:
+    * self-loops go to `selfLoop`; the other edges are stable counting-sorted
+    * by (min, max), so the copies of a pair sum in input order; every row is
+    * filled directly with its higher neighbours ascending, then its lower
+    * neighbours ascending.
     */
   def fromEdgeArrays(numVertices: Int, src: Array[Int], dst: Array[Int],
                      wgt: Array[Double]): LocalGraph = {
     val n = numVertices
     val m = src.length
+    require(n >= 0, s"numVertices must be non-negative, got $n")
     require(m == dst.length && dst.length == wgt.length, "edge arrays differ in length")
     val selfLoop = new Array[Double](n)
-    val offsets  = new Array[Int](n + 1)
+    // byMax(b + 1) / byMin(a + 1): the edges whose larger / smaller end is b / a.
+    val byMax = new Array[Int](n + 1); val byMin = new Array[Int](n + 1)
     var e = 0
     while (e < m) {
-      val u = src(e); val v = dst(e)
+      val u = src(e); val v = dst(e); val w = wgt(e)
       if (u < 0 || u >= n || v < 0 || v >= n)
         throw new IllegalArgumentException(s"requirement failed: edge ($u,$v) out of range")
-      if (u == v) selfLoop(u) += wgt(e) else { offsets(u + 1) += 1; offsets(v + 1) += 1 }
+      if (!java.lang.Double.isFinite(w))
+        throw new IllegalArgumentException(s"requirement failed: edge ($u,$v) has weight $w")
+      if (u == v) selfLoop(u) += w else { byMax(math.max(u, v) + 1) += 1; byMin(math.min(u, v) + 1) += 1 }
       e += 1
     }
-    var x = 0
-    while (x < n) { offsets(x + 1) += offsets(x); x += 1 }
-    val pos  = java.util.Arrays.copyOf(offsets, n)
-    val nbrs = new Array[Int](offsets(n))
-    val wgts = new Array[Double](offsets(n))
+    var v = 0
+    while (v < n) { byMax(v + 1) += byMax(v); byMin(v + 1) += byMin(v); v += 1 }
+
+    // Stable scatter by max, then by min. The copies of {a, b}, a < b, reach a's
+    // list one after another while bucket b is read, so a copy that finds b at
+    // the end of that list adds to its weight: up(byMin(a) until pos(a)) holds
+    // a's distinct higher neighbours ascending, each summed in input order.
+    val k   = byMin(n)
+    val lo  = new Array[Int](k); val loW = new Array[Double](k)
+    val pos = java.util.Arrays.copyOf(byMax, n)
     e = 0
     while (e < m) {
       val u = src(e); val v = dst(e)
       if (u != v) {
-        nbrs(pos(u)) = v; wgts(pos(u)) = wgt(e); pos(u) += 1
-        nbrs(pos(v)) = u; wgts(pos(v)) = wgt(e); pos(v) += 1
+        val top = math.max(u, v); val p = pos(top)
+        lo(p) = math.min(u, v); loW(p) = wgt(e); pos(top) = p + 1
       }
       e += 1
     }
-    val ones = new Array[Double](n)
-    java.util.Arrays.fill(ones, 1.0)
-    val raw  = new LocalGraph(n, offsets, nbrs, wgts, ones, selfLoop, ones)
-    repro.core.Compress.compress(raw, Array.range(0, n), n)
+    val up = new Array[Int](k); val upW = new Array[Double](k)
+    System.arraycopy(byMin, 0, pos, 0, n)
+    val offsets = new Array[Int](n + 1) // offsets(b + 1) first counts b's lower neighbours
+    var i = 0; var b = 0
+    while (b < n) {
+      while (i < byMax(b + 1)) {
+        val a = lo(i); val p = pos(a)
+        if (p > byMin(a) && up(p - 1) == b) upW(p - 1) += loW(i)
+        else { up(p) = b; upW(p) = loW(i); pos(a) = p + 1; offsets(b + 1) += 1 }
+        i += 1
+      }
+      b += 1
+    }
+
+    // Row v is [its higher neighbours | its lower ones, from lowerAt(v)]; scanning
+    // u upwards fills each lower part in ascending order.
+    val lowerAt = new Array[Int](n)
+    v = 0
+    while (v < n) { lowerAt(v) = offsets(v) + pos(v) - byMin(v); offsets(v + 1) += lowerAt(v); v += 1 }
+    val nbrs = new Array[Int](offsets(n)); val wgts = new Array[Double](offsets(n))
+    var u = 0
+    while (u < n) {
+      var p = offsets(u); i = byMin(u)
+      while (i < pos(u)) {
+        val x = up(i); val w = upW(i)
+        nbrs(p) = x; wgts(p) = w; p += 1
+        nbrs(lowerAt(x)) = u; wgts(lowerAt(x)) = w; lowerAt(x) += 1
+        i += 1
+      }
+      u += 1
+    }
+    val ones = new Array[Double](n); java.util.Arrays.fill(ones, 1.0)
+    new LocalGraph(n, offsets, nbrs, wgts, ones, selfLoop, ones.clone())
   }
 
   /** Build from unweighted undirected pairs. */

@@ -92,9 +92,10 @@ final class UnionFind(n: Int) {
     if (ra != rb) parent(math.max(ra, rb)) = math.min(ra, rb)
   }
 
-  /** Dense component labels. */
+  /** Dense component labels, numbered by each component's root, its least vertex. */
   def components: Array[Int] = {
-    val roots = Array.tabulate(n)(find)
-    repro.core.Objective.normalize(roots)
+    val label = new Array[Int](n); var next = 0
+    for (v <- 0 until n) { val r = find(v); if (r < v) label(v) = label(r) else { label(v) = next; next += 1 } }
+    label
   }
 }

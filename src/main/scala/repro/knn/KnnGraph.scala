@@ -74,10 +74,4 @@ object KnnGraph {
     }
     LocalGraph.fromEdges(n, best.iterator.map { case ((a, b), s) => (a, b, s) }.toSeq)
   }
-
-  /** Unit-weight view of the same topology (paper's PAR-CC vs PAR-CC^W). */
-  def unweighted(g: LocalGraph): LocalGraph = {
-    val edges = g.undirectedEdges.map { case (u, v, _) => (u, v, 1.0) }
-    LocalGraph.fromEdges(g.numVertices, edges)
-  }
 }

@@ -68,6 +68,47 @@ class LocalGraphSpec extends AnyFunSuite with Matchers {
       LocalGraph.fromUnweightedEdges(2, Seq((0, 2)))
   }
 
+  test("non-finite weights are rejected") {
+    for (w <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity))
+      an[IllegalArgumentException] should be thrownBy
+        LocalGraph.fromEdgeArrays(2, Array(0), Array(1), Array(w))
+  }
+
+  test("a negative vertex count is rejected") {
+    an[IllegalArgumentException] should be thrownBy
+      LocalGraph.fromEdgeArrays(-1, Array.empty[Int], Array.empty[Int], Array.empty[Double])
+  }
+
+  test("scrambled input builds canonical rows with input-order duplicate sums") {
+    val edges = Seq((0, 3, 0.1), (2, 1, 1.5), (3, 0, 0.2), (5, 0, 0.7), (1, 0, 0.25), (2, 2, 4.0),
+                    (0, 3, 0.3), (4, 2, 2.0), (1, 2, 0.5), (2, 2, 0.5), (5, 3, 1.0), (3, 4, 0.125))
+    // {0,3} sums to a different double in another order, so the order is observable.
+    (0.1 + 0.2 + 0.3) should not equal (0.3 + 0.2 + 0.1)
+    val g = LocalGraph.fromEdges(6, edges)
+    for (v <- 0 until 6) {
+      val row           = g.nbrs.slice(g.offsets(v), g.offsets(v + 1)).toSeq
+      val (high, lower) = row.span(_ > v)
+      high shouldBe high.sorted.distinct
+      lower shouldBe lower.sorted.distinct
+      lower.forall(_ < v) shouldBe true
+    }
+    def weight(u: Int, v: Int): Double = {
+      val i = g.nbrs.indexWhere(_ == v, g.offsets(u))
+      i should (be >= 0 and be < g.offsets(u + 1))
+      g.wgts(i)
+    }
+    val pairs = edges.collect { case (u, v, w) if u != v => ((math.min(u, v), math.max(u, v)), w) }
+    for ((key @ (a, b), ws) <- pairs.groupMap(_._1)(_._2)) {
+      val sum = ws.reduceLeft(_ + _)
+      withClue(key) {
+        java.lang.Double.doubleToLongBits(weight(a, b)) shouldBe java.lang.Double.doubleToLongBits(sum)
+        java.lang.Double.doubleToLongBits(weight(b, a)) shouldBe java.lang.Double.doubleToLongBits(sum)
+      }
+    }
+    g.numEdges shouldBe pairs.map(_._1).distinct.size
+    g.selfLoop.toSeq shouldBe Seq(0.0, 0.0, 4.5, 0.0, 0.0, 0.0)
+  }
+
   test("sizeInBytes accounts CSR arrays") {
     val g = LocalGraph.fromUnweightedEdges(3, Seq((0, 1), (1, 2)))
     // offsets 4*(n+1) + nbrs 4*2m + wgts 8*2m + k/selfLoop/sq 8n each

@@ -44,7 +44,7 @@ class KnnGraphSpec extends AnyFunSuite with Matchers {
   test("unweighted view keeps topology, unit weights") {
     val ps = KnnGraph.gaussianMixture(120, 6, 3, 0.3, seed = 5)
     val g  = KnnGraph.cosineKnnGraph(ps, 8)
-    val u  = KnnGraph.unweighted(g)
+    val u  = g.unweighted
     u.numEdges shouldBe g.numEdges
     u.undirectedEdges.foreach { case (_, _, w) => w shouldBe 1.0 }
   }
