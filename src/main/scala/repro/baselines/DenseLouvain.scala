@@ -21,11 +21,11 @@ object DenseLouvain {
     */
   val MaxFeasibleVertices = 20000
 
-  def cluster(g: LocalGraph, lambda: Double, seed: Long = 1): Array[Int] = {
+  def cluster(g: LocalGraph, lambda: Double): Array[Int] = {
     require(g.numVertices <= MaxFeasibleVertices,
       s"dense baseline infeasible beyond $MaxFeasibleVertices vertices (paper §C.1)")
     SeqLouvain.cluster(rescaled(g, lambda), 0.0,
-      LouvainOptions(numIter = 100, refine = false, seed = seed)).clusters
+      LouvainOptions(numIter = 100, refine = false, seed = 1)).clusters
   }
 
   /** The complete graph on `g`'s vertices: each pair u < v once, with weight

@@ -3,7 +3,7 @@ package repro.experiments
 import repro.baselines._
 import repro.core._
 import repro.eval.Metrics
-import repro.graph.{GraphGen, Triangles}
+import repro.graph.{GraphGen, LocalGraph, Triangles}
 
 /** T10 — PAR-CC vs TECTONIC (Fig 10 + §4.2): precision/recall over θ and λ
   * sweeps plus speedups at matched-or-better quality (paper: 2.48–67.62x).
@@ -158,21 +158,30 @@ object ExpDense {
   def table(): Table = {
     val rows = Seq.newBuilder[Seq[String]]
     val karate = GraphGen.karate
-    val tDense = Timing.median(5)(DenseLouvain.cluster(karate, 0.01, seed = 1))
-    val tPar   = Timing.median(5)(ParLouvain.cluster(karate, 0.01, LouvainOptions(seed = 1)))
-    val tSeq   = Timing.median(5)(SeqLouvain.cluster(karate, 0.01, LouvainOptions(seed = 1)))
-    rows += Seq("karate(34v,78e)", "DENSE(LambdaCC-matlab standin)", Timing.fmt(tDense), "-")
-    rows += Seq("karate(34v,78e)", "PAR-CC", Timing.fmt(tPar), f"${tDense / tPar}%.1fx")
-    rows += Seq("karate(34v,78e)", "SEQ-CC", Timing.fmt(tSeq), f"${tDense / tSeq}%.1fx")
+    def obj(g: LocalGraph, cl: Array[Int], lambda: Double) = f"${Objective.cc(g, cl, lambda)}%.6g"
+    val dense  = () => DenseLouvain.cluster(karate, 0.01)
+    val par    = () => ParLouvain.cluster(karate, 0.01, LouvainOptions(seed = 1)).clusters
+    val seq    = () => SeqLouvain.cluster(karate, 0.01, LouvainOptions(seed = 1)).clusters
+    val tDense = Timing.median(5)(dense())
+    val tPar   = Timing.median(5)(par())
+    val tSeq   = Timing.median(5)(seq())
+    rows += Seq("karate(34v,78e)", "DENSE(LambdaCC-matlab standin)", Timing.fmt(tDense), "-",
+      obj(karate, dense(), 0.01))
+    rows += Seq("karate(34v,78e)", "PAR-CC", Timing.fmt(tPar), f"${tDense / tPar}%.1fx",
+      obj(karate, par(), 0.01))
+    rows += Seq("karate(34v,78e)", "SEQ-CC", Timing.fmt(tSeq), f"${tDense / tSeq}%.1fx",
+      obj(karate, seq(), 0.01))
     // dense wall: time grows quadratically even on sparse graphs
     for (n <- Seq(500, 1000, 2000, 4000)) {
       val gt = GraphGen.sbm(n, 10, 30, 6, 2, seed = 13)
-      val (_, tD) = Timing.time(DenseLouvain.cluster(gt.graph, 0.05, seed = 1))
-      val (_, tP) = Timing.time(ParLouvain.cluster(gt.graph, 0.05, LouvainOptions(seed = 1)))
-      rows += Seq(s"sbm(n=$n,m=${gt.graph.numEdges})", "DENSE", Timing.fmt(tD), "-")
-      rows += Seq(s"sbm(n=$n,m=${gt.graph.numEdges})", "PAR-CC", Timing.fmt(tP), f"${tD / tP}%.1fx")
+      val (cD, tD) = Timing.time(DenseLouvain.cluster(gt.graph, 0.05))
+      val (rP, tP) = Timing.time(ParLouvain.cluster(gt.graph, 0.05, LouvainOptions(seed = 1)))
+      rows += Seq(s"sbm(n=$n,m=${gt.graph.numEdges})", "DENSE", Timing.fmt(tD), "-",
+        obj(gt.graph, cD, 0.05))
+      rows += Seq(s"sbm(n=$n,m=${gt.graph.numEdges})", "PAR-CC", Timing.fmt(tP), f"${tD / tP}%.1fx",
+        obj(gt.graph, rP.clusters, 0.05))
     }
     Table("T14 (C.1): dense MATLAB-style baseline vs our implementations",
-      Seq("graph", "alg", "seconds", "speedup_over_dense"), rows.result())
+      Seq("graph", "alg", "seconds", "speedup_over_dense", "objective"), rows.result())
   }
 }

@@ -196,8 +196,4 @@ object GraphGen {
     )
     LocalGraph.fromUnweightedEdges(34, raw.map { case (u, v) => (u - 1, v - 1) })
   }
-
-  /** Star graph with `leaves` leaves, each leaf tied to center 0 by `w`. */
-  def star(leaves: Int, w: Double = 1.0): LocalGraph =
-    LocalGraph.fromEdges(leaves + 1, (1 to leaves).map(l => (0, l, w)))
 }

@@ -10,8 +10,9 @@ import scala.collection.mutable.ArrayBuilder
   * (u→v and v→u) with bitwise-equal weights. Self-loops are NOT stored as
   * adjacency entries; intra-super-vertex weight accumulated by coarsening
   * lives in `selfLoop` so the exact CC objective is computable at any level.
-  * Every row reads [higher neighbours ascending | lower neighbours ascending],
-  * as both the builders below and `Compress.compress` write it.
+  * Every row reads [higher neighbours | lower neighbours ascending]. The
+  * builders below write the higher part ascending too; `Compress.compress`
+  * writes it in first-appearance order over the cluster's members.
   *
   * @param vertexWeight  k_v of the LambdaCC objective (1 for CC, degree for
   *                      modularity, sum of constituents after coarsening)
@@ -49,12 +50,6 @@ final class LocalGraph(
     var v = 0; var sl = 0.0
     while (v < numVertices) { sl += selfLoop(v); v += 1 }
     s / 2 + sl
-  }
-
-  def maxDegree: Int = {
-    var m = 0; var v = 0
-    while (v < numVertices) { m = math.max(m, degree(v)); v += 1 }
-    m
   }
 
   /** Copy with different vertex weights (k² tracked accordingly).

@@ -13,9 +13,7 @@ object Triangles {
     *                  same value)
     * @param perVertex triangles incident to each vertex
     */
-  final case class TriangleCounts(perEdge: Array[Int], perVertex: Array[Long]) {
-    def totalTriangles: Long = perVertex.sum / 3
-  }
+  final case class TriangleCounts(perEdge: Array[Int], perVertex: Array[Long])
 
   def count(g: LocalGraph, threads: Int = Parallel.defaultThreads): TriangleCounts = {
     val n = g.numVertices

@@ -58,8 +58,6 @@ final class AtomicDoubleArray(val length: Int) {
 
   def get(i: Int): Double = java.lang.Double.longBitsToDouble(bits.get(i))
 
-  def set(i: Int, v: Double): Unit = bits.set(i, java.lang.Double.doubleToRawLongBits(v))
-
   /** Lock-free add; loops on CAS failure. */
   def add(i: Int, delta: Double): Unit = {
     var done = false

@@ -41,4 +41,8 @@ object TestGraphs {
       Seq((0, s))
     LocalGraph.fromUnweightedEdges(2 * s, edges)
   }
+
+  /** Star graph with `leaves` leaves, each leaf tied to center 0 by `w`. */
+  def star(leaves: Int, w: Double = 1.0): LocalGraph =
+    LocalGraph.fromEdges(leaves + 1, (1 to leaves).map(l => (0, l, w)))
 }

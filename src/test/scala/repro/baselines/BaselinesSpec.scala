@@ -170,7 +170,7 @@ class DenseLouvainSpec extends AnyFunSuite with Matchers {
 
   test("matches sparse sequential quality on karate") {
     val g = GraphGen.karate
-    val dense  = DenseLouvain.cluster(g, 0.05, seed = 1)
+    val dense  = DenseLouvain.cluster(g, 0.05)
     val sparse = repro.core.SeqLouvain.cluster(g, 0.05, LouvainOptions(seed = 1).toConvergence)
     val oD = Objective.cc(g, dense, 0.05)
     val oS = Objective.cc(g, sparse.clusters, 0.05)

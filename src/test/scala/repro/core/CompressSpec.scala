@@ -139,6 +139,19 @@ class CompressSpec extends AnyFunSuite with Matchers {
     }
   }
 
+  test("compressed rows hold higher ids, then lower ids ascending") {
+    for (seed <- 1 to 6) {
+      val g  = TestGraphs.randomWeighted(150, 0.08, seed)
+      val cl = Objective.normalize(TestGraphs.randomClustering(150, 30, seed + 7))
+      val c  = Compress.compress(g, cl, cl.max + 1, threads = 4)
+      for (v <- 0 until c.numVertices) {
+        val lower = c.nbrs.slice(c.offsets(v), c.offsets(v + 1)).dropWhile(_ > v)
+        lower.forall(_ < v) shouldBe true
+        lower.toSeq shouldBe lower.sorted.toSeq
+      }
+    }
+  }
+
   test("compression arrays are identical at 1 and 8 threads") {
     for (seed <- 1 to 4) {
       // More than 512 clusters, so the 8-thread run takes the chunked path.

@@ -1,6 +1,9 @@
 package repro.dataflow
 
+import org.scalatest.concurrent.Eventually.eventually
+import org.scalatest.concurrent.PatienceConfiguration.Timeout
 import org.scalatest.matchers.should.Matchers
+import org.scalatest.time.SpanSugar._
 import repro.{SparkSpec, TestGraphs}
 import repro.core.{LouvainOptions, Objective, ParLouvain}
 import repro.graph.GraphGen
@@ -54,5 +57,22 @@ class GraphxLouvainSpec extends SparkSpec with Matchers {
     cl(0) shouldBe cl(1)
     Set(cl(2), cl(3)).size shouldBe 2
     cl(2) should not be cl(0)
+    // no level graph holds an edge-free vertex, so none may move
+    val edgeFree = repro.graph.LocalGraph.fromUnweightedEdges(5, Seq.empty)
+    GraphxLouvain.cluster(spark, edgeFree, lambda = 0.5).clusters.toSeq shouldBe (0 until 5)
+    val noVertices = repro.graph.LocalGraph.fromUnweightedEdges(0, Seq.empty)
+    GraphxLouvain.cluster(spark, noVertices, lambda = 0.5).clusters shouldBe empty
+  }
+
+  test("each best-move round runs one Spark job") {
+    val sc = spark.sparkContext
+    sc.setJobGroup("gx-rounds", "GX-CC best-move rounds")
+    val res = try GraphxLouvain.cluster(spark, TestGraphs.twoCliques(6), lambda = 0.5)
+      finally sc.clearJobGroup()
+    res.levels shouldBe 2
+    // job ids reach the status tracker through the asynchronous listener bus
+    eventually(Timeout(10.seconds)) {
+      sc.statusTracker.getJobIdsForGroup("gx-rounds").length shouldBe res.rounds
+    }
   }
 }

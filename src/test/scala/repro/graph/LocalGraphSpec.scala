@@ -58,11 +58,6 @@ class LocalGraphSpec extends AnyFunSuite with Matchers {
     g.numEdges shouldBe 1
   }
 
-  test("maxDegree") {
-    val g = GraphGen.star(7)
-    g.maxDegree shouldBe 7
-  }
-
   test("edge out of range is rejected") {
     an[IllegalArgumentException] should be thrownBy
       LocalGraph.fromUnweightedEdges(2, Seq((0, 2)))

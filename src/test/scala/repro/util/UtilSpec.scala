@@ -31,13 +31,6 @@ class ParallelSpec extends AnyFunSuite with Matchers {
 
 class AtomicDoubleArraySpec extends AnyFunSuite with Matchers {
 
-  test("get/set round trip") {
-    val a = new AtomicDoubleArray(4)
-    a.set(2, 3.25)
-    a.get(2) shouldBe 3.25
-    a.get(0) shouldBe 0.0
-  }
-
   test("concurrent adds are lossless") {
     val a = new AtomicDoubleArray(2)
     Parallel.forRange(100000, 8)(_ => a.add(0, 1.0))
