@@ -49,7 +49,7 @@ object Scd {
     // --- Phase 2: hill-climbing refinement on the proxy score. ---
     val size = new Array[Int](n + 1)
     comm.foreach(size(_) += 1)
-    val map = new IntDoubleMap(64)
+    val map = new IntDoubleMap(n)
     var pass = 0
     while (pass < RefinePasses) {
       var moved = false

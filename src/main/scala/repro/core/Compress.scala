@@ -19,10 +19,10 @@ object Compress {
     *
     * Cluster-major kernel (GBBS-style contraction): vertices are counting-sorted
     * by cluster; each cluster aggregates its members' weights to higher
-    * clusters in a thread-local map, once to size the rows and once to write
-    * them, and a transpose mirrors those entries into the lower rows. Each
-    * pair is summed once, so both directions carry bitwise-equal weights and
-    * the output is identical at every thread count.
+    * clusters in its worker's dense map, once to size the rows and once to
+    * write them, and a transpose mirrors those entries into the lower rows.
+    * Each pair is summed once, so both directions carry bitwise-equal weights
+    * and the output is identical at every thread count.
     *
     * @param threads degree of parallelism only; 1 is the sequential variant.
     */
@@ -41,20 +41,22 @@ object Compress {
     val kOut  = new Array[Double](numClusters)
     val sqOut = new Array[Double](numClusters)
     val slOut = new Array[Double](numClusters)
-    val tlMap = ThreadLocal.withInitial[IntDoubleMap](() => new IntDoubleMap(64))
+    val maps  = Array.fill(math.max(1, threads))(new IntDoubleMap(numClusters))
+    val gOffs = g.offsets; val gNbrs = g.nbrs; val gWgts = g.wgts
     // c's weight to each higher cluster, in a fixed order; with `sums`, also c's
     // vertex-side totals and internal weight (each internal edge once, x < u).
-    def gather(c: Int, sums: Boolean): IntDoubleMap = {
-      val map = tlMap.get(); map.clear()
+    def gather(c: Int, sums: Boolean, map: IntDoubleMap): IntDoubleMap = {
+      map.clear()
       var i = start(c)
       while (i < start(c + 1)) {
         val x = members(i)
         if (sums) { kOut(c) += g.vertexWeight(x); sqOut(c) += g.sqWeight(x); slOut(c) += g.selfLoop(x) }
-        var j = g.offsets(x)
-        while (j < g.offsets(x + 1)) {
-          val u = g.nbrs(j); val b = clusters(u)
-          if (b > c) map.addTo(b, g.wgts(j))
-          else if (sums && b == c && x < u) slOut(c) += g.wgts(j)
+        var j = gOffs(x)
+        val end = gOffs(x + 1)
+        while (j < end) {
+          val u = gNbrs(j); val b = clusters(u)
+          if (b > c) map.addTo(b, gWgts(j))
+          else if (sums && b == c && x < u) slOut(c) += gWgts(j)
           j += 1
         }
         i += 1
@@ -65,8 +67,8 @@ object Compress {
     // Count pass: entries c→b above the diagonal; each is one of b's lower entries.
     val low     = new java.util.concurrent.atomic.AtomicIntegerArray(numClusters)
     val offsets = new Array[Int](numClusters + 1)
-    Parallel.forRange(numClusters, threads) { c =>
-      val map = gather(c, sums = true)
+    Parallel.forWorkers(numClusters, threads) { (w, c) =>
+      val map = gather(c, sums = true, maps(w))
       var e = 0
       while (e < map.size) { low.incrementAndGet(map.keyAt(e)); e += 1 }
       offsets(c + 1) = map.size
@@ -78,8 +80,8 @@ object Compress {
     // order, and rows that open with the lowest ids skew those ties (DESIGN §5).
     val m2   = offsets(numClusters)
     val nbrs = new Array[Int](m2); val wgts = new Array[Double](m2)
-    Parallel.forRange(numClusters, threads) { c =>
-      val map = gather(c, sums = false)
+    Parallel.forWorkers(numClusters, threads) { (w, c) =>
+      val map = gather(c, sums = false, maps(w))
       val p = offsets(c); var e = 0
       while (e < map.size) { nbrs(p + e) = map.keyAt(e); wgts(p + e) = map.valueAt(e); e += 1 }
     }

@@ -1,20 +1,22 @@
 package repro.core
 
 import java.util.SplittableRandom
-import java.util.concurrent.atomic.{AtomicIntegerArray, LongAdder}
+import java.util.concurrent.atomic.LongAdder
 import repro.graph.LocalGraph
 import repro.util.{AtomicDoubleArray, IntDoubleMap, Parallel}
 
 /** PARALLEL-CC (paper Alg. 1): the shared-memory parallel Louvain relaxation.
   *
   * In the **async** setting every worker applies its vertex's move
-  * immediately: the cluster id write and the two cluster-weight updates are
-  * separate atomic operations with no synchronization, so concurrent best-move
-  * computations read racy snapshots — exactly the paper's relaxed-consistency
-  * scheme that provides symmetry breaking. In the **sync** setting every
-  * target is chosen against the frozen state first, and only then are the
-  * moves applied, through the same updates as async; this reproduces the
-  * Figure-1 pathology (vertices oscillating into each other's clusters).
+  * immediately: the cluster id write (a plain int store, which cannot tear)
+  * and the two cluster-weight updates (CAS adds) are separate operations with
+  * no synchronization, so concurrent best-move computations read racy
+  * snapshots — exactly the paper's relaxed-consistency scheme that provides
+  * symmetry breaking; `invokeAll` orders one pass before the next. In the
+  * **sync** setting every target is chosen against the frozen state first,
+  * and only then are the moves applied, through the same updates as async;
+  * this reproduces the Figure-1 pathology (vertices oscillating into each
+  * other's clusters).
   * `SeqLouvain` runs this BEST-MOVES body at one thread, async, seeded order.
   *
   * Per level the body keeps only what the moves need: a cluster id per
@@ -41,14 +43,15 @@ object ParLouvain extends LouvainEngine {
       init: Array[Int], order: Option[SplittableRandom]): BestMovesResult = {
     val n       = g.numVertices
     val threads = opts.threads
-    val cluster = new AtomicIntegerArray(n)
+    val offs    = g.offsets; val nbrs = g.nbrs; val wgts = g.wgts
+    val cluster = init.clone()
     val kOf     = g.vertexWeight
     val kC      = new AtomicDoubleArray(2 * n)  // cluster weight; ids ≥ n are detach spares
     var v = 0
-    while (v < n) { cluster.set(v, init(v)); kC.add(init(v), kOf(v)); v += 1 }
+    while (v < n) { kC.add(init(v), kOf(v)); v += 1 }
 
-    // Per-thread scratch map for the neighbor-cluster aggregation.
-    val tlMap = ThreadLocal.withInitial[IntDoubleMap](() => new IntDoubleMap(64))
+    // Per-worker scratch map for the neighbor-cluster aggregation.
+    val maps = Array.fill(math.max(1, threads))(new IntDoubleMap(2 * n))
 
     // Pass stamps, never cleared: next(v) == pass puts v in the next frontier,
     // touched(c) == pass marks a cluster a move left or entered. Concurrent
@@ -63,14 +66,14 @@ object ParLouvain extends LouvainEngine {
     var break      = false
 
     /** Best target for `u` under one (possibly racy) read of its cluster's weight. */
-    def bestTarget(u: Int): Int = {
-      val c   = cluster.get(u)
+    def bestTarget(u: Int, map: IntDoubleMap): Int = {
+      val c   = cluster(u)
       val kU  = kOf(u)
       val kCc = kC.get(c)
-      val map = tlMap.get()
       map.clear()
-      var i = g.offsets(u)
-      while (i < g.offsets(u + 1)) { map.addTo(cluster.get(g.nbrs(i)), g.wgts(i)); i += 1 }
+      var i = offs(u)
+      val end = offs(u + 1)
+      while (i < end) { map.addTo(cluster(nbrs(i)), wgts(i)); i += 1 }
       val wToC      = map.getOrElse(c, 0.0)
       var bestDelta = 0.0
       var bestT     = c
@@ -89,14 +92,15 @@ object ParLouvain extends LouvainEngine {
     }
 
     def stampNbrs(u: Int): Unit = {
-      var j = g.offsets(u)
-      while (j < g.offsets(u + 1)) { next(g.nbrs(j)) = passes; j += 1 }
+      var j = offs(u)
+      val end = offs(u + 1)
+      while (j < end) { next(nbrs(j)) = passes; j += 1 }
     }
 
     def applyMove(u: Int, to: Int): Unit = {
-      val from = cluster.get(u)
+      val from = cluster(u)
       if (to != from) {
-        cluster.set(u, to)
+        cluster(u) = to
         kC.add(from, -kOf(u)); kC.add(to, kOf(u))
         moved.increment()
         opts.frontier match {
@@ -116,11 +120,11 @@ object ParLouvain extends LouvainEngine {
 
         opts.mode match {
           case MoveMode.Async =>
-            Parallel.forRange(front.length, threads) { fi => val u = front(fi); applyMove(u, bestTarget(u)) }
+            Parallel.forWorkers(front.length, threads) { (w, fi) => val u = front(fi); applyMove(u, bestTarget(u, maps(w))) }
           case MoveMode.Sync =>
             // Every target against the frozen state (Line 7 only), then the moves.
             val desired = new Array[Int](front.length)
-            Parallel.forRange(front.length, threads)(fi => desired(fi) = bestTarget(front(fi)))
+            Parallel.forWorkers(front.length, threads)((w, fi) => desired(fi) = bestTarget(front(fi), maps(w)))
             Parallel.forRange(front.length, threads)(fi => applyMove(front(fi), desired(fi)))
         }
 
@@ -131,15 +135,12 @@ object ParLouvain extends LouvainEngine {
             case Frontier.AllVertices    => Array.range(0, n)
             case Frontier.NbrsOfVertices => FrontierOps.stamped(next, passes)
             case Frontier.NbrsOfClusters =>
-              Parallel.forRange(n, threads)(u => if (touched(cluster.get(u)) == passes) stampNbrs(u))
+              Parallel.forRange(n, threads)(u => if (touched(cluster(u)) == passes) stampNbrs(u))
               FrontierOps.stamped(next, passes)
           }
         }
       }
     }
-    val out = new Array[Int](n)
-    v = 0
-    while (v < n) { out(v) = cluster.get(v); v += 1 }
-    BestMovesResult(out, passes, anyMoved, timedOut)
+    BestMovesResult(cluster, passes, anyMoved, timedOut)
   }
 }

@@ -23,24 +23,31 @@ object Parallel {
       val th = new Thread(r); th.setDaemon(true); th
     }))
 
-  /** Parallel for over `[0, n)` with `threads` workers; blocks until done.
+  /** Parallel for over `[0, n)`; blocks until done. */
+  def forRange(n: Int, threads: Int = defaultThreads)(body: Int => Unit): Unit =
+    forWorkers(n, threads)((_, i) => body(i))
+
+  /** Parallel for over `[0, n)` with `threads` workers; `body(worker, i)`
+    * gets the index of the worker running it, in `[0, threads)`, and no two
+    * bodies with the same worker index run at once, so `worker` can pick the
+    * caller's per-worker scratch. The sequential path runs as worker 0.
     * Work is split into `threads * 8` contiguous chunks for load balance
     * (a poor-man's work stealing: stragglers pick up remaining chunks).
     */
-  def forRange(n: Int, threads: Int = defaultThreads)(body: Int => Unit): Unit = {
+  def forWorkers(n: Int, threads: Int = defaultThreads)(body: (Int, Int) => Unit): Unit = {
     if (n <= 0) return
-    if (threads <= 1 || n < 512) { var i = 0; while (i < n) { body(i); i += 1 }; return }
+    if (threads <= 1 || n < 512) { var i = 0; while (i < n) { body(0, i); i += 1 }; return }
     val chunks    = math.min(n, threads * 8)
     val chunkSize = (n + chunks - 1) / chunks
     val next      = new java.util.concurrent.atomic.AtomicInteger(0)
     val tasks     = new java.util.ArrayList[Callable[Unit]](threads)
-    for (_ <- 0 until threads) tasks.add { () =>
+    for (w <- 0 until threads) tasks.add { () =>
       var c = next.getAndIncrement()
       while (c < chunks) {
         val lo = c * chunkSize
         val hi = math.min(n, lo + chunkSize)
         var i = lo
-        while (i < hi) { body(i); i += 1 }
+        while (i < hi) { body(w, i); i += 1 }
         c = next.getAndIncrement()
       }
     }
@@ -56,7 +63,8 @@ object Parallel {
 final class AtomicDoubleArray(val length: Int) {
   private val bits = new AtomicLongArray(length)
 
-  def get(i: Int): Double = java.lang.Double.longBitsToDouble(bits.get(i))
+  /** Opaque read: atomic, but unordered with respect to other variables. */
+  def get(i: Int): Double = java.lang.Double.longBitsToDouble(bits.getOpaque(i))
 
   /** Lock-free add; loops on CAS failure. */
   def add(i: Int, delta: Double): Unit = {

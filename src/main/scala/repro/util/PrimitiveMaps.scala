@@ -1,63 +1,50 @@
 package repro.util
 
-/** Open-addressing int→double map with O(used) clear: the edge weight from
-  * one vertex (BEST-MOVES, SCD) or one cluster (compression) to each
-  * neighboring cluster. One instance is reused per thread (allocation-free
-  * steady state); entries are read back in insertion order with `keyAt` and
-  * `valueAt`.
+/** Dense int→double accumulator over the keys `[0, universe)` with O(used)
+  * clear: the edge weight from one vertex (BEST-MOVES, SCD) or one cluster
+  * (compression) to each neighboring cluster. `slot` maps a key to its entry
+  * (−1 if absent), so each add is one array read, with no hashing or probing;
+  * the same trade as PLM's "turbo" mode. Each worker owns one instance
+  * (allocation-free steady state); entries are read back in insertion order
+  * with `keyAt` and `valueAt`.
   */
-final class IntDoubleMap(initialCapacity: Int = 16) {
-  private var cap               = Integer.highestOneBit(math.max(16, initialCapacity) * 2 - 1) << 1
-  private var mask              = cap - 1
-  private var keys: Array[Int]  = Array.fill(cap)(-1)
-  private var vals: Array[Double] = new Array[Double](cap)
-  private var used: Array[Int]  = new Array[Int](cap) // slots to reset on clear
-  private var nUsed             = 0
+final class IntDoubleMap(universe: Int) {
+  private val slot                 = Array.fill(universe)(-1)
+  private var keys: Array[Int]     = new Array[Int](16)
+  private var vals: Array[Double]  = new Array[Double](16)
+  private var nUsed                = 0
 
   def size: Int = nUsed
 
-  private def grow(): Unit = {
-    val oldKeys = keys; val oldVals = vals; val oldUsed = used; val oldN = nUsed
-    cap <<= 1; mask = cap - 1
-    keys = Array.fill(cap)(-1); vals = new Array[Double](cap); used = new Array[Int](cap)
-    nUsed = 0
-    var i = 0
-    while (i < oldN) { addTo(oldKeys(oldUsed(i)), oldVals(oldUsed(i))); i += 1 }
-  }
-
-  /** Add `v` to the value stored for `k` (inserting 0-initialised if absent). */
+  /** Add `v` to the value stored for `k`: the first add stores `v`, later adds
+    * sum in call order.
+    */
   def addTo(k: Int, v: Double): Unit = {
-    if (nUsed * 2 >= cap) grow()
-    var i = (scala.util.hashing.byteswap32(k)) & mask
-    while (true) {
-      val kk = keys(i)
-      if (kk == k) { vals(i) += v; return }
-      if (kk == -1) { keys(i) = k; vals(i) = v; used(nUsed) = i; nUsed += 1; return }
-      i = (i + 1) & mask
+    val s = slot(k)
+    if (s >= 0) vals(s) += v
+    else {
+      if (nUsed == keys.length) {
+        keys = java.util.Arrays.copyOf(keys, 2 * nUsed); vals = java.util.Arrays.copyOf(vals, 2 * nUsed)
+      }
+      slot(k) = nUsed; keys(nUsed) = k; vals(nUsed) = v; nUsed += 1
     }
   }
 
   def getOrElse(k: Int, default: Double): Double = {
-    var i = (scala.util.hashing.byteswap32(k)) & mask
-    while (true) {
-      val kk = keys(i)
-      if (kk == k) return vals(i)
-      if (kk == -1) return default
-      i = (i + 1) & mask
-    }
-    default
+    val s = slot(k)
+    if (s >= 0) vals(s) else default
   }
 
   /** Key of the `i`-th inserted entry, 0 ≤ i < size (insertion order). */
-  def keyAt(i: Int): Int = keys(used(i))
+  def keyAt(i: Int): Int = keys(i)
 
   /** Value of the `i`-th inserted entry, 0 ≤ i < size (insertion order). */
-  def valueAt(i: Int): Double = vals(used(i))
+  def valueAt(i: Int): Double = vals(i)
 
-  /** Reset to empty in O(entries). */
+  /** Reset to empty in O(entries): only the used slots are cleared. */
   def clear(): Unit = {
     var i = 0
-    while (i < nUsed) { keys(used(i)) = -1; i += 1 }
+    while (i < nUsed) { slot(keys(i)) = -1; i += 1 }
     nUsed = 0
   }
 }

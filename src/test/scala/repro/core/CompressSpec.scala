@@ -3,7 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalatest.matchers.should.Matchers
 import repro.TestGraphs
-import repro.graph.LocalGraph
+import repro.graph.{GraphGen, LocalGraph}
 
 class CompressSpec extends AnyFunSuite with Matchers {
 
@@ -161,6 +161,23 @@ class CompressSpec extends AnyFunSuite with Matchers {
       val nC = cl.max + 1
       nC should be > 512
       assertSameArrays(Compress.compress(g, cl, nC, threads = 1), Compress.compress(g, cl, nC, threads = 8))
+    }
+  }
+
+  test("compression arrays match pinned hashes on a fractional-weight sbm") {
+    // Pins the summation order: every weight is fractional, so reordering any
+    // per-cluster or per-pair sum changes the bits.
+    val gt = GraphGen.sbm(9000, 4, 12, 8.0, 6.0, seed = 5)
+    val g  = LocalGraph.fromEdges(9000, gt.graph.undirectedEdges.map { case (u, v, w) =>
+      (u, v, w * (0.1 + ((u * 7 + v * 13) % 10) * 0.173)) }).withDegreeWeights
+    val cl = Objective.normalize(gt.membership.map(_ / 2))
+    val nC = cl.max + 1
+    nC should be > 512
+    for (threads <- Seq(1, 4)) {
+      val c = Compress.compress(g, cl, nC, threads)
+      import java.util.Arrays.{hashCode => h}
+      Seq(h(c.offsets), h(c.nbrs), h(c.wgts), h(c.selfLoop), h(c.vertexWeight), h(c.sqWeight)) shouldBe
+        Seq(558521721, -1167015241, 24120639, 804665010, -1551155235, -59619683)
     }
   }
 

@@ -23,6 +23,28 @@ class ParallelSpec extends AnyFunSuite with Matchers {
     Parallel.forRange(-5, 4)(_ => fail("should not run"))
   }
 
+  test("forWorkers covers every index once, one body per worker at a time") {
+    for (threads <- Seq(1, 3, 8)) {
+      val n     = 20000
+      val hits  = new java.util.concurrent.atomic.AtomicIntegerArray(n)
+      val inUse = new java.util.concurrent.atomic.AtomicIntegerArray(threads)
+      val bad   = new java.util.concurrent.atomic.AtomicInteger(0)
+      Parallel.forWorkers(n, threads) { (w, i) =>
+        if (w < 0 || w >= threads || !inUse.compareAndSet(w, 0, 1)) bad.incrementAndGet()
+        else { hits.incrementAndGet(i); inUse.set(w, 0) }
+      }
+      bad.get shouldBe 0
+      (0 until n).foreach(i => hits.get(i) shouldBe 1)
+    }
+  }
+
+  test("forWorkers runs the sequential path as worker 0") {
+    val workers = scala.collection.mutable.Set.empty[Int]
+    Parallel.forWorkers(5000, 1)((w, _) => workers += w)
+    Parallel.forWorkers(100, 4)((w, _) => workers += w) // below the parallel cutoff
+    workers.toSet shouldBe Set(0)
+  }
+
   test("forRange propagates exceptions") {
     an[Exception] should be thrownBy
       Parallel.forRange(10000, 4)(i => if (i == 5000) throw new IllegalStateException("boom"))
@@ -47,7 +69,7 @@ class AtomicDoubleArraySpec extends AnyFunSuite with Matchers {
 class PrimitiveMapsSpec extends AnyFunSuite with Matchers {
 
   test("IntDoubleMap addTo accumulates") {
-    val m = new IntDoubleMap(4)
+    val m = new IntDoubleMap(100)
     m.addTo(7, 1.5); m.addTo(7, 2.5); m.addTo(3, 1.0)
     m.getOrElse(7, 0) shouldBe 4.0
     m.getOrElse(3, 0) shouldBe 1.0
@@ -56,14 +78,14 @@ class PrimitiveMapsSpec extends AnyFunSuite with Matchers {
   }
 
   test("IntDoubleMap grows past initial capacity") {
-    val m = new IntDoubleMap(2)
+    val m = new IntDoubleMap(1000)
     (0 until 1000).foreach(i => m.addTo(i, i.toDouble))
     m.size shouldBe 1000
     (0 until 1000).foreach(i => m.getOrElse(i, -1) shouldBe i.toDouble)
   }
 
   test("IntDoubleMap clear resets in O(entries)") {
-    val m = new IntDoubleMap(8)
+    val m = new IntDoubleMap(100)
     (0 until 100).foreach(i => m.addTo(i, 1.0))
     m.clear()
     m.size shouldBe 0
@@ -73,10 +95,28 @@ class PrimitiveMapsSpec extends AnyFunSuite with Matchers {
   }
 
   test("IntDoubleMap keyAt/valueAt visit every entry in insertion order") {
-    val m = new IntDoubleMap(4)
+    val m = new IntDoubleMap(150)
     (0 until 50).foreach(i => m.addTo(i * 3, i.toDouble))
     m.size shouldBe 50
     (0 until m.size).map(e => (m.keyAt(e), m.valueAt(e))) shouldBe
       (0 until 50).map(i => (i * 3, i.toDouble))
+  }
+
+  test("IntDoubleMap holds the first and last keys of its universe") {
+    val m = new IntDoubleMap(10)
+    m.addTo(9, 1.5); m.addTo(0, 2.0); m.addTo(9, 0.25)
+    m.size shouldBe 2
+    (0 until m.size).map(e => (m.keyAt(e), m.valueAt(e))) shouldBe Seq((9, 1.75), (0, 2.0))
+    m.clear()
+    m.getOrElse(0, -1) shouldBe -1.0
+    m.getOrElse(9, -1) shouldBe -1.0
+  }
+
+  test("IntDoubleMap keeps a key whose values sum to 0.0, in its position") {
+    val m = new IntDoubleMap(8)
+    m.addTo(4, 0.5); m.addTo(2, 1.0); m.addTo(4, -0.5); m.addTo(6, 3.0)
+    m.size shouldBe 3
+    m.getOrElse(4, -1) shouldBe 0.0
+    (0 until m.size).map(e => (m.keyAt(e), m.valueAt(e))) shouldBe Seq((4, 0.0), (2, 1.0), (6, 3.0))
   }
 }
