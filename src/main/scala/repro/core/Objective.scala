@@ -60,31 +60,6 @@ object Objective {
     cc(gMod, clusters, lambda) / w
   }
 
-  /** O(n²) brute force over all pairs — test oracle only. */
-  def bruteForce(g: LocalGraph, clusters: Array[Int], lambda: Double): Double = {
-    val n   = g.numVertices
-    val row = new Array[Double](n) // u's edge weights, filled and cleared per u
-    var total = 0.0
-    var u = 0
-    while (u < n) {
-      total += g.selfLoop(u) // intra by definition
-      var i = g.offsets(u)
-      while (i < g.offsets(u + 1)) { row(g.nbrs(i)) = g.wgts(i); i += 1 }
-      var w = u + 1
-      while (w < n) {
-        if (clusters(u) == clusters(w))
-          total += row(w) - lambda * g.vertexWeight(u) * g.vertexWeight(w)
-        w += 1
-      }
-      i = g.offsets(u)
-      while (i < g.offsets(u + 1)) { row(g.nbrs(i)) = 0.0; i += 1 }
-      u += 1
-    }
-    // subtract nothing: pairs within super-vertices are constant (sq bookkeeping)
-    // but bruteForce is only used on uncoarsened graphs where sq_v = k_v².
-    total
-  }
-
   /** Appendix-A move delta: change in CC from moving v from cluster c (which
     * contains v, total weight `kC`) to cluster c2 (total weight `kC2`,
     * excluding v). `wToC`/`wToC2` are v's edge weights into each cluster.

@@ -22,11 +22,39 @@ import repro.util.{AtomicDoubleArray, IntDoubleMap, Parallel}
   * Per level the body keeps only what the moves need: a cluster id per
   * vertex, a weight per cluster and the pass stamps of the next frontier.
   * There are no cluster-size counters: a vertex alone in its cluster scores
-  * 0 for detaching, which the `> best + Eps` test rejects.
+  * 0 for detaching, which the `> best + Eps` test in [[choose]] rejects.
   */
 object ParLouvain extends LouvainEngine {
 
   private val Eps = 1e-11
+
+  /** BEST-MOVES' move rule (paper Alg. 1 line 7, appendix A), shared by every
+    * engine that scores moves: the target for a vertex of weight `kU` in
+    * cluster `c`, given `map`, its edge weight into each neighbouring cluster
+    * in first-appearance order, and the cluster weights `kC`. A candidate
+    * must beat the best so far by more than `Eps`, so ties go to the first in
+    * `map`; staying scores 0. Detaching to the fresh id `spare` is tried last;
+    * alone in c, the vertex has wToC = 0 and K_c = kU, so detaching scores 0
+    * and fails.
+    */
+  private[repro] def choose(map: IntDoubleMap, c: Int, kU: Double, lambda: Double,
+                            kC: AtomicDoubleArray, spare: Int): Int = {
+    val kCc       = kC.get(c)
+    val wToC      = map.getOrElse(c, 0.0)
+    var bestDelta = 0.0
+    var bestT     = c
+    var e = 0
+    while (e < map.size) {
+      val c2 = map.keyAt(e)
+      if (c2 != c) {
+        val d = Objective.moveDelta(kU, lambda, wToC, kCc, map.valueAt(e), kC.get(c2))
+        if (d > bestDelta + Eps) { bestDelta = d; bestT = c2 }
+      }
+      e += 1
+    }
+    if (Objective.moveDelta(kU, lambda, wToC, kCc, 0.0, 0.0) > bestDelta + Eps) bestT = spare
+    bestT
+  }
 
   override def compressionThreads(opts: LouvainOptions): Int = opts.threads
 
@@ -67,28 +95,12 @@ object ParLouvain extends LouvainEngine {
 
     /** Best target for `u` under one (possibly racy) read of its cluster's weight. */
     def bestTarget(u: Int, map: IntDoubleMap): Int = {
-      val c   = cluster(u)
-      val kU  = kOf(u)
-      val kCc = kC.get(c)
+      val c = cluster(u)
       map.clear()
       var i = offs(u)
       val end = offs(u + 1)
       while (i < end) { map.addTo(cluster(nbrs(i)), wgts(i)); i += 1 }
-      val wToC      = map.getOrElse(c, 0.0)
-      var bestDelta = 0.0
-      var bestT     = c
-      var e = 0
-      while (e < map.size) {
-        val c2 = map.keyAt(e)
-        if (c2 != c) {
-          val d = Objective.moveDelta(kU, lambda, wToC, kCc, map.valueAt(e), kC.get(c2))
-          if (d > bestDelta + Eps) { bestDelta = d; bestT = c2 }
-        }
-        e += 1
-      }
-      // Alone in c, u has wToC = 0 and kC(c) = k_u: detaching scores 0 and fails.
-      if (Objective.moveDelta(kU, lambda, wToC, kCc, 0.0, 0.0) > bestDelta + Eps) bestT = n + u
-      bestT
+      choose(map, c, kOf(u), lambda, kC, n + u)
     }
 
     def stampNbrs(u: Int): Unit = {

@@ -1,10 +1,11 @@
 package repro.dataflow
 
 import org.apache.spark.SparkContext
-import org.apache.spark.graphx.{Edge, Graph, TripletFields}
+import org.apache.spark.graphx.{Edge, EdgeDirection, Graph}
 import org.apache.spark.sql.SparkSession
-import repro.core.{Compress, Objective}
+import repro.core.{Compress, Objective, ParLouvain}
 import repro.graph.LocalGraph
+import repro.util.{AtomicDoubleArray, IntDoubleMap}
 import scala.collection.mutable.ArrayBuffer
 
 /** GX-CC: the LambdaCC Louvain scheme as GraphX vertex programs (the repro
@@ -12,10 +13,12 @@ import scala.collection.mutable.ArrayBuffer
   *
   * The edges live in an RDD; every vertex-sized array lives on the driver:
   * each level's cluster ids, vertex weights k_v and cluster weights K_c.
-  * Per level, synchronous best-move rounds run as one Spark job each: the
-  * ids and K_c are broadcast, every edge sends its weight both ways keyed by
-  * the other endpoint's cluster id (`aggregateMessages`), each vertex scores
-  * candidate moves with the appendix-A delta, and the wanted moves are
+  * Per level, each vertex's row (neighbours and weights, in `LocalGraph`'s
+  * row order) is built once with `collectEdges` and cached. Synchronous
+  * best-move rounds then run as one Spark job each: the ids and K_c are
+  * broadcast, each partition sums every row's weights per neighbouring
+  * cluster into one dense `IntDoubleMap` and picks the target with the
+  * shared-memory move rule `ParLouvain.choose`, and the wanted moves are
   * collected. The driver applies a pseudo-random half of them (symmetry
   * breaking). A level ends by densifying its ids with `Objective.normalize`
   * and contracting the edges through a broadcast of them with `reduceByKey`
@@ -78,49 +81,43 @@ object GraphxLouvain {
     val nL = k.length
     val ids = Array.range(0, nL)
     val kB = sc.broadcast(k)
+    // each vertex's row, in LocalGraph's order: higher neighbours ascending,
+    // then lower ones ascending; built by the first round's job
+    val rows = g.collectEdges(EdgeDirection.Either).map { case (vId, es) =>
+      val v = vId.toInt
+      val (nbrs, wgts) = es.map(e => ((if (e.srcId == vId) e.dstId else e.srcId).toInt, e.attr))
+        .sortBy { case (u, _) => (u < v, u) }.unzip
+      (v, nbrs, wgts)
+    }.cache()
     var anyMoved = false
     var round = 0
     var stop = false
     while (round < numIter && !stop) {
-      val kc = new Array[Double](2 * nL)
-      for (v <- 0 until nL) kc(ids(v)) += k(v)
+      val kc = new AtomicDoubleArray(2 * nL)
+      for (v <- 0 until nL) kc.add(ids(v), k(v))
       val idsB = sc.broadcast(ids); val kcB = sc.broadcast(kc)
-      // per-vertex edge weight into each neighboring cluster
-      val msgs = g.aggregateMessages[Map[Long, Double]](
-        ctx => {
-          val ids = idsB.value
-          ctx.sendToDst(Map(ids(ctx.srcId.toInt).toLong -> ctx.attr))
-          ctx.sendToSrc(Map(ids(ctx.dstId.toInt).toLong -> ctx.attr))
-        },
-        (a, b) => (a.keySet ++ b.keySet).iterator
-          .map(c => c -> (a.getOrElse(c, 0.0) + b.getOrElse(c, 0.0))).toMap,
-        TripletFields.EdgeOnly)
       // desired moves (pre symmetry-break), so an unlucky all-tails round
       // does not read as convergence
-      val wanted = msgs.flatMap { case (v, wTo) =>
-        val kcs = kcB.value; val kv = kB.value(v.toInt)
-        val cid = idsB.value(v.toInt).toLong
-        val wToC = wTo.getOrElse(cid, 0.0)
-        val kCur = kcs(cid.toInt)
-        val removeGain = Objective.moveDelta(kv, lambda, wToC, kCur, 0.0, 0.0)
-        var bestDelta = 1e-11
-        var bestT = cid
-        wTo.foreach { case (c2, w2) =>
-          if (c2 != cid) {
-            val d = Objective.moveDelta(kv, lambda, wToC, kCur, w2, kcs(c2.toInt))
-            if (d > bestDelta) { bestDelta = d; bestT = c2 }
-          }
+      val wanted = rows.mapPartitions { it =>
+        val ids = idsB.value; val kc = kcB.value; val k = kB.value
+        val map = new IntDoubleMap(2 * nL)
+        it.flatMap { case (v, nbrs, wgts) =>
+          map.clear()
+          var i = 0
+          while (i < nbrs.length) { map.addTo(ids(nbrs(i)), wgts(i)); i += 1 }
+          val c = ids(v)
+          val t = ParLouvain.choose(map, c, k(v), lambda, kc, nL + v)
+          if (t != c) Iterator.single((v, t)) else Iterator.empty
         }
-        if (removeGain > bestDelta && cid != nL + v) bestT = nL + v
-        if (bestT != cid) Some((v, bestT.toInt)) else None
       }.collect()
       val curSeed = seed + round
       if (wanted.isEmpty) stop = true
-      else for ((v, t) <- wanted if scala.util.hashing.byteswap64(v * 31 + curSeed) % 2 == 0) {
-        ids(v.toInt) = t; anyMoved = true
+      else for ((v, t) <- wanted if scala.util.hashing.byteswap64(v.toLong * 31 + curSeed) % 2 == 0) {
+        ids(v) = t; anyMoved = true
       } // no heads: retry with the next round's coin flips
       round += 1
     }
+    rows.unpersist(blocking = false)
     (ids, round, anyMoved)
   }
 }

@@ -23,10 +23,12 @@ object ExpDataflow {
       rows += Seq(s"rmat$scale", g.numEdges.toString, f"$lambda%.2f",
         Timing.fmt(tGx), Timing.fmt(tPar),
         f"$oGx%.4g", f"$oPar%.4g",
-        f"${oGx / math.max(1e-12, oPar)}%.3f")
+        f"${oGx / math.max(1e-12, oPar)}%.3f",
+        gxRes.levels.toString, gxRes.rounds.toString)
     }
     Table("T16: GraphX (GX-CC) Louvain vs shared-memory PAR-CC",
-      Seq("graph", "m", "lambda", "gx_s", "par_s", "gx_obj", "par_obj", "gx/par_obj"),
+      Seq("graph", "m", "lambda", "gx_s", "par_s", "gx_obj", "par_obj", "gx/par_obj",
+        "gx_levels", "gx_rounds"),
       rows.result())
   }
 }

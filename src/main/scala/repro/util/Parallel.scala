@@ -58,9 +58,10 @@ object Parallel {
 
 /** Atomic array of doubles built on CAS over raw long bits — the paper's
   * "separate atomic operations to update the total vertex weight" with no
-  * locks and relaxed consistency.
+  * locks and relaxed consistency. Serializable, so GX-CC can broadcast a
+  * level's cluster weights to the move rule.
   */
-final class AtomicDoubleArray(val length: Int) {
+final class AtomicDoubleArray(val length: Int) extends Serializable {
   private val bits = new AtomicLongArray(length)
 
   /** Opaque read: atomic, but unordered with respect to other variables. */

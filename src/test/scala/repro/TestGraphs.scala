@@ -42,6 +42,32 @@ object TestGraphs {
     LocalGraph.fromUnweightedEdges(2 * s, edges)
   }
 
+  /** CC objective by brute force over all O(n²) vertex pairs: the oracle for
+    * `Objective.cc`. Pairs inside a super-vertex are not counted, so it holds
+    * only on uncoarsened graphs, where sq_v = k_v².
+    */
+  def bruteForceCC(g: LocalGraph, clusters: Array[Int], lambda: Double): Double = {
+    val n   = g.numVertices
+    val row = new Array[Double](n) // u's edge weights, filled and cleared per u
+    var total = 0.0
+    var u = 0
+    while (u < n) {
+      total += g.selfLoop(u) // intra by definition
+      var i = g.offsets(u)
+      while (i < g.offsets(u + 1)) { row(g.nbrs(i)) = g.wgts(i); i += 1 }
+      var w = u + 1
+      while (w < n) {
+        if (clusters(u) == clusters(w))
+          total += row(w) - lambda * g.vertexWeight(u) * g.vertexWeight(w)
+        w += 1
+      }
+      i = g.offsets(u)
+      while (i < g.offsets(u + 1)) { row(g.nbrs(i)) = 0.0; i += 1 }
+      u += 1
+    }
+    total
+  }
+
   /** Star graph with `leaves` leaves, each leaf tied to center 0 by `w`. */
   def star(leaves: Int, w: Double = 1.0): LocalGraph =
     LocalGraph.fromEdges(leaves + 1, (1 to leaves).map(l => (0, l, w)))

@@ -219,6 +219,6 @@ class CompressSpec extends AnyFunSuite with Matchers {
     c.selfLoop(0) shouldBe 1.475 +- EPS
     c.selfLoop(1) shouldBe 4.6 +- EPS
     for (lambda <- Seq(0.1, 0.5))
-      Objective.cc(c, Array(0, 1), lambda) shouldBe Objective.bruteForce(g, cl, lambda) +- 1e-8
+      Objective.cc(c, Array(0, 1), lambda) shouldBe TestGraphs.bruteForceCC(g, cl, lambda) +- 1e-8
   }
 }

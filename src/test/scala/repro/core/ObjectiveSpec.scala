@@ -30,7 +30,7 @@ class ObjectiveSpec extends AnyFunSuite with Matchers {
       val g  = TestGraphs.randomWeighted(n, 0.4, seed)
       val cl = TestGraphs.randomClustering(n, 4, seed + 100)
       val lambda = 0.05 * (seed % 19 + 1)
-      Objective.cc(g, cl, lambda) shouldBe Objective.bruteForce(g, cl, lambda) +- EPS
+      Objective.cc(g, cl, lambda) shouldBe TestGraphs.bruteForceCC(g, cl, lambda) +- EPS
     }
   }
 

@@ -4,8 +4,47 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalatest.matchers.should.Matchers
 import repro.TestGraphs
 import repro.graph.GraphGen
+import repro.util.{AtomicDoubleArray, IntDoubleMap}
 
 class ParLouvainSpec extends AnyFunSuite with Matchers {
+
+  test("the move rule picks a best-gaining target by recomputation (property, 240 cases)") {
+    var stays = 0; var joins = 0; var detaches = 0
+    for (seed <- 1L to 240L) {
+      val rng = new java.util.SplittableRandom(seed)
+      val n   = 4 + rng.nextInt(20)
+      val g0  = TestGraphs.randomWeighted(n, 0.4, seed)
+      // even seeds: modularity-style degree weights at lambda = gamma / 2W
+      // (an edgeless draw has W = 0 and every k = 0, so any lambda will do)
+      val (g, lambda) =
+        if (seed % 2 == 0) (g0.withDegreeWeights, (0.2 + 1.6 * rng.nextDouble()) / (2 * g0.totalEdgeWeight).max(1.0))
+        else (g0, 0.01 + 0.9 * rng.nextDouble())
+      val cl    = TestGraphs.randomClustering(n, 1 + rng.nextInt(math.min(n, 5)), seed + 7)
+      val u     = rng.nextInt(n)
+      val c     = cl(u)
+      val spare = n + u
+      val map   = new IntDoubleMap(2 * n)
+      for (i <- g.offsets(u) until g.offsets(u + 1)) map.addTo(cl(g.nbrs(i)), g.wgts(i))
+      val kC = new AtomicDoubleArray(2 * n)
+      for (v <- 0 until n) kC.add(cl(v), g.vertexWeight(v))
+      val before = Objective.cc(g, cl, lambda)
+      def gain(t: Int): Double =
+        if (t == c) 0.0 else { val after = cl.clone(); after(u) = t; Objective.cc(g, after, lambda) - before }
+      val candidates = ((0 until map.size).map(map.keyAt) :+ spare).filter(_ != c)
+      val best = (0.0 +: candidates.map(gain)).max
+      val t    = ParLouvain.choose(map, c, g.vertexWeight(u), lambda, kC, spare)
+      withClue(s"seed=$seed u=$u c=$c t=$t best=$best: ") {
+        (candidates :+ c) should contain (t)
+        gain(t) shouldBe best +- 1e-9
+        if (best <= 1e-11) t shouldBe c
+      }
+      if (t == c) stays += 1 else if (t == spare) detaches += 1 else joins += 1
+    }
+    // every branch of the rule is exercised
+    stays should be > 0
+    joins should be > 0
+    detaches should be > 0
+  }
 
   test("async matches sequential quality on two cliques") {
     val g   = TestGraphs.twoCliques(8)

@@ -64,15 +64,32 @@ class GraphxLouvainSpec extends SparkSpec with Matchers {
     GraphxLouvain.cluster(spark, noVertices, lambda = 0.5).clusters shouldBe empty
   }
 
+  test("the same seed gives identical clusters, levels and rounds") {
+    val g = GraphGen.sbm(400, 8, 25, 6, 1.5, seed = 5).graph
+    val a = GraphxLouvain.cluster(spark, g, lambda = 0.3, seed = 7)
+    val b = GraphxLouvain.cluster(spark, g, lambda = 0.3, seed = 7)
+    b.clusters.toSeq shouldBe a.clusters.toSeq
+    (b.levels, b.rounds) shouldBe ((a.levels, a.rounds))
+  }
+
   test("each best-move round runs one Spark job") {
     val sc = spark.sparkContext
-    sc.setJobGroup("gx-rounds", "GX-CC best-move rounds")
-    val res = try GraphxLouvain.cluster(spark, TestGraphs.twoCliques(6), lambda = 0.5)
-      finally sc.clearJobGroup()
+    def inGroup(group: String)(body: => GraphxLouvain.Result): GraphxLouvain.Result = {
+      sc.setJobGroup(group, "GX-CC best-move rounds")
+      try body finally sc.clearJobGroup()
+    }
+    val res = inGroup("gx-rounds")(GraphxLouvain.cluster(spark, TestGraphs.twoCliques(6), lambda = 0.5))
     res.levels shouldBe 2
     // job ids reach the status tracker through the asynchronous listener bus
     eventually(Timeout(10.seconds)) {
       sc.statusTracker.getJobIdsForGroup("gx-rounds").length shouldBe res.rounds
+    }
+    // several levels on a larger graph: building the rows adds no job
+    val sbm = inGroup("gx-rounds-sbm")(
+      GraphxLouvain.cluster(spark, GraphGen.sbm(400, 8, 25, 6, 1.5, seed = 5).graph, lambda = 0.3))
+    sbm.levels should be >= 2
+    eventually(Timeout(10.seconds)) {
+      sc.statusTracker.getJobIdsForGroup("gx-rounds-sbm").length shouldBe sbm.rounds
     }
   }
 }

@@ -64,6 +64,19 @@ class AtomicDoubleArraySpec extends AnyFunSuite with Matchers {
     a.add(0, 5.5); a.add(0, -2.25)
     a.get(0) shouldBe 3.25
   }
+
+  test("survives a Java-serialization round trip with bit-equal values") {
+    val a = new AtomicDoubleArray(4)
+    a.add(0, 0.1); a.add(0, 0.2); a.add(1, -1e-300); a.add(2, Double.NaN); a.add(3, 1e300)
+    val bytes = new java.io.ByteArrayOutputStream
+    val out   = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(a); out.close()
+    val b = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[AtomicDoubleArray]
+    b.length shouldBe a.length
+    for (i <- 0 until a.length)
+      java.lang.Double.doubleToRawLongBits(b.get(i)) shouldBe java.lang.Double.doubleToRawLongBits(a.get(i))
+  }
 }
 
 class PrimitiveMapsSpec extends AnyFunSuite with Matchers {
