@@ -7,12 +7,25 @@ import scala.collection.mutable.ArrayBuffer
 /** Result of one BEST-MOVES invocation on a single level. Cluster ids live in
   * [0, 2n) — ids ≥ n are private detach targets — and are densified by the
   * driver before compression/refinement.
+  *
+  * @param passes   passes run: at most `numIter`, fewer when a pass moves
+  *                 nothing or, for async runs with a cap, gains less than the
+  *                 pass tolerance of the call's gain so far
+  * @param anyMoved Blondel's "improvement" flag, which decides whether the
+  *                 driver coarsens further: some vertex moved and, for async
+  *                 runs with a cap, the call's gain cleared the aggregation
+  *                 tolerance of the level's objective. The clusters keep the
+  *                 call's moves either way
+  * @param gain     the gain ledger: the summed scores of the moves the call
+  *                 chose. At one thread it is the exact change in CC; racy
+  *                 async reads and sync's frozen state overstate it
   */
 private[repro] final case class BestMovesResult(
     clusters: Array[Int],
     passes: Int,
     anyMoved: Boolean,
     timedOut: Boolean,
+    gain: Double = 0.0,
 )
 
 /** A Louvain engine supplies the per-level BEST-MOVES subroutine; the driver
@@ -50,12 +63,14 @@ private[repro] object LouvainDriver {
     val stack = ArrayBuffer.empty[(LocalGraph, Array[Int])]
     var curG       = g
     var iterations = 0
+    var gain       = 0.0
     var timedOut   = false
     var done       = false
     while (!done && stack.length < opts.maxLevels) {
       val init = Array.range(0, curG.numVertices)
       val bm   = engine.bestMoves(curG, lambda, opts, rng, init)
       iterations += bm.passes
+      gain += bm.gain
       timedOut ||= bm.timedOut
       val dense = Objective.normalize(bm.clusters)
       val nC    = if (dense.isEmpty) 0 else dense.max + 1
@@ -82,11 +97,12 @@ private[repro] object LouvainDriver {
         if (opts.refine && comp != null && !timedOut) {
           val bm = engine.bestMoves(gl, lambda, opts, rng, Objective.normalize(flat))
           iterations += bm.passes
+          gain += bm.gain
           timedOut ||= bm.timedOut
           Objective.normalize(bm.clusters)
         } else Objective.normalize(flat)
     }
-    LouvainResult(comp, iterations, stack.length, allLevels, peakPair, timedOut)
+    LouvainResult(comp, iterations, stack.length, allLevels, peakPair, timedOut, gain)
   }
 }
 

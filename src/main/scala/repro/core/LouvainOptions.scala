@@ -23,8 +23,12 @@ object Frontier {
 
 /** Knobs shared by SEQ-* and PAR-* implementations.
   *
-  * @param numIter   max BEST-MOVES passes per level (`Int.MaxValue` ⇒ run to
-  *                  convergence — the paper's ^CON superscript)
+  * @param numIter   cap on BEST-MOVES passes per call (`Int.MaxValue` ⇒ run to
+  *                  convergence — the paper's ^CON superscript). Async runs
+  *                  under a cap also stop a call after a pass that gains less
+  *                  than a fixed share of the call's gain so far, and stop
+  *                  coarsening after a level that gains less than a fixed
+  *                  share of its objective; sync and ^CON runs are exempt
   * @param maxLevels max coarsening levels, at least 1
   * @param refine    multi-level refinement (paper §3.2.3)
   * @param frontier  vertex-subset optimization (paper §3.2.2)
@@ -62,6 +66,10 @@ final case class LouvainOptions(
   *                  (multi-level refinement; Fig-8 numerator with refinement)
   * @param peakBytesNoRefine  peak bytes when levels are discarded after
   *                  compression (Fig-8 numerator without refinement)
+  * @param gain      the gain ledger: summed scores of every chosen move over
+  *                  all levels and refinement calls. At one thread it equals
+  *                  CC(clusters) − CC(singletons) on the graph the driver ran
+  *                  on (degree-weighted at λ = γ/2W for the -MOD variants)
   */
 final case class LouvainResult(
     clusters: Array[Int],
@@ -70,4 +78,5 @@ final case class LouvainResult(
     retainedBytesAllLevels: Long,
     peakBytesNoRefine: Long,
     timedOut: Boolean,
+    gain: Double = 0.0,
 )

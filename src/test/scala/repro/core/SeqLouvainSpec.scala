@@ -141,11 +141,14 @@ class SeqLouvainSpec extends AnyFunSuite with Matchers {
     for (l <- Seq(0.05, 0.5)) {
       for (f <- frontiers)
         got += s"seq $l $f" -> pin(SeqLouvain.cluster(g, l, LouvainOptions(frontier = f, seed = 3)))
+      got += s"seq^CON $l" -> pin(SeqLouvain.cluster(g, l, LouvainOptions(seed = 3).toConvergence))
       for (m <- modes; f <- frontiers)
         got += s"par1 $l $m $f" ->
           pin(ParLouvain.cluster(g, l, LouvainOptions(frontier = f, mode = m, threads = 1)))
     }
     got += "seq-mod 1.0" -> pin(SeqLouvain.clusterModularity(g, 1.0, LouvainOptions(seed = 3)))
+    got += "seq-mod^CON 1.0" ->
+      pin(SeqLouvain.clusterModularity(g, 1.0, LouvainOptions(seed = 3).toConvergence))
     for (m <- modes)
       got += s"par1-mod 1.0 $m" ->
         pin(ParLouvain.clusterModularity(g, 1.0, LouvainOptions(mode = m, threads = 1)))
@@ -163,33 +166,38 @@ class SeqLouvainSpec extends AnyFunSuite with Matchers {
         pin(ParLouvain.clusterModularity(gf, 1.0, LouvainOptions(mode = m, threads = 1)))
     // recorded before SEQ's move loop was merged into PAR's; the par1 frontier,
     // par1-mod and fractional-weight rows before the sync rebuild and the
-    // cluster-size counters were removed from the BEST-MOVES body
+    // cluster-size counters were removed from the BEST-MOVES body; the async
+    // rows again when the pass and aggregation tolerances were added. The
+    // ^CON rows, which both tolerances exempt, were recorded before them.
     val expected = Seq[(String, (Int, Int))](
-      "seq 0.05 AllVertices"           -> (1413137492, 17),
-      "seq 0.05 NbrsOfClusters"        -> (1413137492, 18),
-      "seq 0.05 NbrsOfVertices"        -> (1413137492, 17),
-      "par1 0.05 Async AllVertices"    -> (1413137492, 17),
-      "par1 0.05 Async NbrsOfClusters" -> (1413137492, 17),
-      "par1 0.05 Async NbrsOfVertices" -> (1413137492, 17),
+      "seq 0.05 AllVertices"           -> (1413137492, 14),
+      "seq 0.05 NbrsOfClusters"        -> (1413137492, 13),
+      "seq 0.05 NbrsOfVertices"        -> (1413137492, 14),
+      "seq^CON 0.05"                   -> (1413137492, 23),
+      "par1 0.05 Async AllVertices"    -> (1413137492, 13),
+      "par1 0.05 Async NbrsOfClusters" -> (1413137492, 13),
+      "par1 0.05 Async NbrsOfVertices" -> (1413137492, 13),
       "par1 0.05 Sync AllVertices"     -> (-1009257743, 70),
       "par1 0.05 Sync NbrsOfClusters"  -> (-1009257743, 70),
       "par1 0.05 Sync NbrsOfVertices"  -> (-1009257743, 70),
-      "seq 0.5 AllVertices"            -> (-1979924885, 13),
-      "seq 0.5 NbrsOfClusters"         -> (1042017088, 12),
-      "seq 0.5 NbrsOfVertices"         -> (1042017088, 13),
-      "par1 0.5 Async AllVertices"     -> (-1505659899, 12),
-      "par1 0.5 Async NbrsOfClusters"  -> (-1505659899, 12),
-      "par1 0.5 Async NbrsOfVertices"  -> (1891801917, 14),
+      "seq 0.5 AllVertices"            -> (-1979924885, 8),
+      "seq 0.5 NbrsOfClusters"         -> (1042017088, 8),
+      "seq 0.5 NbrsOfVertices"         -> (-286753829, 9),
+      "seq^CON 0.5"                    -> (1042017088, 13),
+      "par1 0.5 Async AllVertices"     -> (-1270890812, 8),
+      "par1 0.5 Async NbrsOfClusters"  -> (-1270890812, 8),
+      "par1 0.5 Async NbrsOfVertices"  -> (1384758733, 9),
       "par1 0.5 Sync AllVertices"      -> (-1711588034, 90),
       "par1 0.5 Sync NbrsOfClusters"   -> (-1711588034, 90),
       "par1 0.5 Sync NbrsOfVertices"   -> (-1711588034, 90),
-      "seq-mod 1.0"                    -> (410895665, 21),
-      "par1-mod 1.0 Async"             -> (2058818528, 21),
+      "seq-mod 1.0"                    -> (-1111480686, 16),
+      "seq-mod^CON 1.0"                -> (410895665, 21),
+      "par1-mod 1.0 Async"             -> (1261981507, 14),
       "par1-mod 1.0 Sync"              -> (70474280, 70),
-      "plm1-mod 1.0"                   -> (2058818528, 24),
-      "frac seq-mod 1.0"               -> (1212844740, 21),
-      "frac seq 0.3"                   -> (1921390294, 13),
-      "frac par1-mod 1.0 Async"        -> (-56581148, 21),
+      "plm1-mod 1.0"                   -> (-702898902, 11),
+      "frac seq-mod 1.0"               -> (-1579124982, 15),
+      "frac seq 0.3"                   -> (-1549814031, 9),
+      "frac par1-mod 1.0 Async"        -> (-56581148, 15),
       "frac par1-mod 1.0 Sync"         -> (-2126753284, 50),
     )
     got.result() shouldBe expected
