@@ -18,11 +18,12 @@ object Compress {
   /** Compress `g` by `clusters`, which must be dense ids in [0, numClusters).
     *
     * Cluster-major kernel (GBBS-style contraction): vertices are counting-sorted
-    * by cluster; each cluster aggregates its members' weights to higher
-    * clusters in its worker's dense map, once to size the rows and once to
-    * write them, and a transpose mirrors those entries into the lower rows.
-    * Each pair is summed once, so both directions carry bitwise-equal weights
-    * and the output is identical at every thread count.
+    * by cluster. One parallel pass walks each cluster's adjacency once, sums
+    * its totals and internal weight, and aggregates its weight to each higher
+    * cluster in its worker's dense map, whose entries go to the slots from
+    * `at(c)`, the prefix sum of its members' degrees (which bound them);
+    * [[LocalGraph.fromUpper]] lays out the rows. Each pair is summed once, so
+    * the output is identical at every thread count.
     *
     * @param threads degree of parallelism only; 1 is the sequential variant.
     */
@@ -30,10 +31,12 @@ object Compress {
                threads: Int = 1): LocalGraph = {
     require(clusters.length == g.numVertices)
 
-    // Members of cluster c are members(start(c) until start(c + 1)), ascending.
+    // Members of cluster c are members(start(c) until start(c + 1)), ascending;
+    // its entries go to up(at(c) until end(c)).
     val start = new Array[Int](numClusters + 1)
-    clusters.foreach(c => start(c + 1) += 1)
-    for (c <- 0 until numClusters) start(c + 1) += start(c)
+    val at    = new Array[Int](numClusters + 1)
+    for (v <- clusters.indices) { start(clusters(v) + 1) += 1; at(clusters(v) + 1) += g.degree(v) }
+    for (c <- 0 until numClusters) { start(c + 1) += start(c); at(c + 1) += at(c) }
     val members = new Array[Int](clusters.length)
     val pos     = java.util.Arrays.copyOf(start, numClusters)
     for (v <- clusters.indices) { val c = clusters(v); members(pos(c)) = v; pos(c) += 1 }
@@ -41,58 +44,30 @@ object Compress {
     val kOut  = new Array[Double](numClusters)
     val sqOut = new Array[Double](numClusters)
     val slOut = new Array[Double](numClusters)
+    val end   = new Array[Int](numClusters)
+    val up    = new Array[Int](at(numClusters)); val upW = new Array[Double](at(numClusters))
     val maps  = Array.fill(math.max(1, threads))(new IntDoubleMap(numClusters))
     val gOffs = g.offsets; val gNbrs = g.nbrs; val gWgts = g.wgts
-    // c's weight to each higher cluster, in a fixed order; with `sums`, also c's
-    // vertex-side totals and internal weight (each internal edge once, x < u).
-    def gather(c: Int, sums: Boolean, map: IntDoubleMap): IntDoubleMap = {
-      map.clear()
+    Parallel.forWorkers(numClusters, threads) { (w, c) =>
+      val map = maps(w); map.clear()
       var i = start(c)
       while (i < start(c + 1)) {
         val x = members(i)
-        if (sums) { kOut(c) += g.vertexWeight(x); sqOut(c) += g.sqWeight(x); slOut(c) += g.selfLoop(x) }
-        var j = gOffs(x)
-        val end = gOffs(x + 1)
-        while (j < end) {
+        kOut(c) += g.vertexWeight(x); sqOut(c) += g.sqWeight(x); slOut(c) += g.selfLoop(x)
+        var j = gOffs(x); val xEnd = gOffs(x + 1)
+        while (j < xEnd) {
           val u = gNbrs(j); val b = clusters(u)
           if (b > c) map.addTo(b, gWgts(j))
-          else if (sums && b == c && x < u) slOut(c) += gWgts(j)
+          else if (b == c && x < u) slOut(c) += gWgts(j) // each internal edge once
           j += 1
         }
         i += 1
       }
-      map
+      val p = at(c); var e = 0
+      while (e < map.size) { up(p + e) = map.keyAt(e); upW(p + e) = map.valueAt(e); e += 1 }
+      end(c) = p + map.size
     }
-
-    // Count pass: entries c→b above the diagonal; each is one of b's lower entries.
-    val low     = new java.util.concurrent.atomic.AtomicIntegerArray(numClusters)
-    val offsets = new Array[Int](numClusters + 1)
-    Parallel.forWorkers(numClusters, threads) { (w, c) =>
-      val map = gather(c, sums = true, maps(w))
-      var e = 0
-      while (e < map.size) { low.incrementAndGet(map.keyAt(e)); e += 1 }
-      offsets(c + 1) = map.size
-    }
-    for (c <- 0 until numClusters) offsets(c + 1) += offsets(c) + low.get(c)
-
-    // Fill pass: row c holds [entries to higher clusters | entries to lower ones].
-    // Higher first: moves take the first of equal-score targets in adjacency
-    // order, and rows that open with the lowest ids skew those ties (DESIGN §5).
-    val m2   = offsets(numClusters)
-    val nbrs = new Array[Int](m2); val wgts = new Array[Double](m2)
-    Parallel.forWorkers(numClusters, threads) { (w, c) =>
-      val map = gather(c, sums = false, maps(w))
-      val p = offsets(c); var e = 0
-      while (e < map.size) { nbrs(p + e) = map.keyAt(e); wgts(p + e) = map.valueAt(e); e += 1 }
-    }
-
-    // Mirror: scanning c upwards fills each row's lower part in ascending order.
-    for (c <- 0 until numClusters) pos(c) = offsets(c + 1) - low.get(c)
-    for (c <- 0 until numClusters) {
-      var p = offsets(c); val end = offsets(c + 1) - low.get(c)
-      while (p < end) { val b = nbrs(p); nbrs(pos(b)) = c; wgts(pos(b)) = wgts(p); pos(b) += 1; p += 1 }
-    }
-    new LocalGraph(numClusters, offsets, nbrs, wgts, kOut, slOut, sqOut)
+    LocalGraph.fromUpper(numClusters, at, end, up, upW, kOut, slOut, sqOut)
   }
 
   /** PARALLEL-FLATTEN: compose clustering `dense` of level-l vertices with the

@@ -15,7 +15,12 @@ import scala.collection.mutable.ArrayBuffer
   *                 driver coarsens further: some vertex moved and, for async
   *                 runs with a cap, the call's gain cleared the aggregation
   *                 tolerance of the level's objective. The clusters keep the
-  *                 call's moves either way
+  *                 call's moves either way. That test's base is the
+  *                 singleton objective, so the flag means something only
+  *                 after a coarsening call; `LouvainDriver` and perfbench's
+  *                 replica read it only there. A refinement call computes
+  *                 it too, O(n), because `bestMoves`' signature does not
+  *                 say which kind of call it is
   * @param gain     the gain ledger: the summed scores of the moves the call
   *                 chose. At one thread it is the exact change in CC; racy
   *                 async reads and sync's frozen state overstate it

@@ -10,9 +10,10 @@ import scala.collection.mutable.ArrayBuilder
   * (u→v and v→u) with bitwise-equal weights. Self-loops are NOT stored as
   * adjacency entries; intra-super-vertex weight accumulated by coarsening
   * lives in `selfLoop` so the exact CC objective is computable at any level.
-  * Every row reads [higher neighbours | lower neighbours ascending]. The
-  * builders below write the higher part ascending too; `Compress.compress`
-  * writes it in first-appearance order over the cluster's members.
+  * Every row reads [higher neighbours | lower neighbours ascending], and
+  * [[LocalGraph.fromUpper]] is the one place rows are laid out. The input
+  * builders below give it each higher part ascending; `Compress.compress`
+  * gives it in first-appearance order over the cluster's members.
   *
   * @param vertexWeight  k_v of the LambdaCC objective (1 for CC, degree for
   *                      modularity, sum of constituents after coarsening)
@@ -119,9 +120,8 @@ object LocalGraph {
   /** Primitive form of [[fromEdges]]: edge e is {src(e), dst(e)} with weight
     * wgt(e), which must be finite. The one place pairs are sorted and merged:
     * self-loops go to `selfLoop`; the other edges are stable counting-sorted
-    * by (min, max), so the copies of a pair sum in input order; every row is
-    * filled directly with its higher neighbours ascending, then its lower
-    * neighbours ascending.
+    * by (min, max), so the copies of a pair sum in input order, and each
+    * vertex's distinct higher neighbours, ascending, go to [[fromUpper]].
     */
   def fromEdgeArrays(numVertices: Int, src: Array[Int], dst: Array[Int],
                      wgt: Array[Double]): LocalGraph = {
@@ -163,28 +163,45 @@ object LocalGraph {
     }
     val up = new Array[Int](k); val upW = new Array[Double](k)
     System.arraycopy(byMin, 0, pos, 0, n)
-    val offsets = new Array[Int](n + 1) // offsets(b + 1) first counts b's lower neighbours
     var i = 0; var b = 0
     while (b < n) {
       while (i < byMax(b + 1)) {
         val a = lo(i); val p = pos(a)
         if (p > byMin(a) && up(p - 1) == b) upW(p - 1) += loW(i)
-        else { up(p) = b; upW(p) = loW(i); pos(a) = p + 1; offsets(b + 1) += 1 }
+        else { up(p) = b; upW(p) = loW(i); pos(a) = p + 1 }
         i += 1
       }
       b += 1
     }
+    val ones = new Array[Double](n); java.util.Arrays.fill(ones, 1.0)
+    fromUpper(n, byMin, pos, up, upW, ones, selfLoop, ones.clone())
+  }
 
-    // Row v is [its higher neighbours | its lower ones, from lowerAt(v)]; scanning
-    // u upwards fills each lower part in ascending order.
+  /** The one place rows are laid out: the symmetric CSR whose vertex v has the
+    * higher neighbours `up(from(v) until to(v))`, weights `upW`. Row v reads
+    * [those entries, in the caller's order | v's lower neighbours ascending],
+    * filled by scanning the vertices upwards, so both directions of a pair
+    * carry the same weight bits. Higher first: moves take the first of equally
+    * scored targets in adjacency order, and rows that open with the lowest ids
+    * skew those ties (DESIGN §5).
+    */
+  private[repro] def fromUpper(n: Int, from: Array[Int], to: Array[Int], up: Array[Int], upW: Array[Double],
+                                k: Array[Double], selfLoop: Array[Double], sq: Array[Double]): LocalGraph = {
+    val offsets = new Array[Int](n + 1) // offsets(v + 1) first counts v's lower neighbours
+    var v = 0
+    while (v < n) {
+      var i = from(v)
+      while (i < to(v)) { offsets(up(i) + 1) += 1; i += 1 }
+      v += 1
+    }
     val lowerAt = new Array[Int](n)
     v = 0
-    while (v < n) { lowerAt(v) = offsets(v) + pos(v) - byMin(v); offsets(v + 1) += lowerAt(v); v += 1 }
+    while (v < n) { lowerAt(v) = offsets(v) + to(v) - from(v); offsets(v + 1) += lowerAt(v); v += 1 }
     val nbrs = new Array[Int](offsets(n)); val wgts = new Array[Double](offsets(n))
     var u = 0
     while (u < n) {
-      var p = offsets(u); i = byMin(u)
-      while (i < pos(u)) {
+      var p = offsets(u); var i = from(u)
+      while (i < to(u)) {
         val x = up(i); val w = upW(i)
         nbrs(p) = x; wgts(p) = w; p += 1
         nbrs(lowerAt(x)) = u; wgts(lowerAt(x)) = w; lowerAt(x) += 1
@@ -192,8 +209,7 @@ object LocalGraph {
       }
       u += 1
     }
-    val ones = new Array[Double](n); java.util.Arrays.fill(ones, 1.0)
-    new LocalGraph(n, offsets, nbrs, wgts, ones, selfLoop, ones.clone())
+    new LocalGraph(n, offsets, nbrs, wgts, k, selfLoop, sq)
   }
 
   /** Build from unweighted undirected pairs. */

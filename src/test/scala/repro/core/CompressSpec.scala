@@ -164,6 +164,18 @@ class CompressSpec extends AnyFunSuite with Matchers {
     }
   }
 
+  test("contracting a built graph by the identity clustering returns its arrays bit for bit") {
+    // Vertex 0 is a hub whose neighbours are all higher, so its entries fill
+    // the whole of its degree-sized slot; every row must come out as the input
+    // builder laid it out.
+    val n    = 1500
+    val base = TestGraphs.randomWeighted(n, 0.004, 29).undirectedEdges
+    val g    = LocalGraph.fromEdges(n, base ++ (1 until n).map(v => (0, v, 0.3)) ++
+      (0 until n by 7).map(v => (v, v, 0.1 * v))).withDegreeWeights
+    g.degree(0) shouldBe n - 1
+    for (threads <- Seq(1, 8)) assertSameArrays(Compress.compress(g, Array.tabulate(n)(identity), n, threads), g)
+  }
+
   test("compression arrays match pinned hashes on a fractional-weight sbm") {
     // Pins the summation order: every weight is fractional, so reordering any
     // per-cluster or per-pair sum changes the bits.
