@@ -21,9 +21,11 @@ object Compress {
     * by cluster. One parallel pass walks each cluster's adjacency once, sums
     * its totals and internal weight, and aggregates its weight to each higher
     * cluster in its worker's dense map, whose entries go to the slots from
-    * `at(c)`, the prefix sum of its members' degrees (which bound them);
-    * [[LocalGraph.fromUpper]] lays out the rows. Each pair is summed once, so
-    * the output is identical at every thread count.
+    * `at(c)`, the prefix sum of its members' degrees (which bound them). The
+    * pass runs over blocks of clusters of about equal degree sum, split on
+    * `at`; [[LocalGraph.fromUpper]] lays out the rows over blocks of its own.
+    * Each pair is summed once, so the output is identical at every thread
+    * count.
     *
     * @param threads degree of parallelism only; 1 is the sequential variant.
     */
@@ -48,26 +50,32 @@ object Compress {
     val up    = new Array[Int](at(numClusters)); val upW = new Array[Double](at(numClusters))
     val maps  = Array.fill(math.max(1, threads))(new IntDoubleMap(numClusters))
     val gOffs = g.offsets; val gNbrs = g.nbrs; val gWgts = g.wgts
-    Parallel.forWorkers(numClusters, threads) { (w, c) =>
-      val map = maps(w); map.clear()
-      var i = start(c)
-      while (i < start(c + 1)) {
-        val x = members(i)
-        kOut(c) += g.vertexWeight(x); sqOut(c) += g.sqWeight(x); slOut(c) += g.selfLoop(x)
-        var j = gOffs(x); val xEnd = gOffs(x + 1)
-        while (j < xEnd) {
-          val u = gNbrs(j); val b = clusters(u)
-          if (b > c) map.addTo(b, gWgts(j))
-          else if (b == c && x < u) slOut(c) += gWgts(j) // each internal edge once
-          j += 1
+    val cuts  = Parallel.blocks(at, numClusters, threads)
+    Parallel.forBlocks(cuts, threads) { (w, blk) =>
+      val map = maps(w)
+      var c = cuts(blk)
+      while (c < cuts(blk + 1)) {
+        map.clear()
+        var i = start(c)
+        while (i < start(c + 1)) {
+          val x = members(i)
+          kOut(c) += g.vertexWeight(x); sqOut(c) += g.sqWeight(x); slOut(c) += g.selfLoop(x)
+          var j = gOffs(x); val xEnd = gOffs(x + 1)
+          while (j < xEnd) {
+            val u = gNbrs(j); val b = clusters(u)
+            if (b > c) map.addTo(b, gWgts(j))
+            else if (b == c && x < u) slOut(c) += gWgts(j) // each internal edge once
+            j += 1
+          }
+          i += 1
         }
-        i += 1
+        val p = at(c); var e = 0
+        while (e < map.size) { up(p + e) = map.keyAt(e); upW(p + e) = map.valueAt(e); e += 1 }
+        end(c) = p + map.size
+        c += 1
       }
-      val p = at(c); var e = 0
-      while (e < map.size) { up(p + e) = map.keyAt(e); upW(p + e) = map.valueAt(e); e += 1 }
-      end(c) = p + map.size
     }
-    LocalGraph.fromUpper(numClusters, at, end, up, upW, kOut, slOut, sqOut)
+    LocalGraph.fromUpper(numClusters, at, end, up, upW, kOut, slOut, sqOut, threads)
   }
 
   /** PARALLEL-FLATTEN: compose clustering `dense` of level-l vertices with the

@@ -76,7 +76,7 @@ object Objective {
   def normalize(clusters: Array[Int]): Array[Int] = {
     var max = -1
     clusters.foreach { c => require(c >= 0, s"negative cluster id $c"); max = math.max(max, c) }
-    val id   = Array.fill(max + 1)(-1)
+    val id   = new Array[Int](max + 1); java.util.Arrays.fill(id, -1)
     val out  = new Array[Int](clusters.length)
     var next = 0
     var i = 0

@@ -1,5 +1,6 @@
 package repro.graph
 
+import repro.util.Parallel
 import scala.collection.mutable.ArrayBuilder
 
 /** Immutable CSR representation of an undirected weighted graph, possibly a
@@ -179,35 +180,57 @@ object LocalGraph {
 
   /** The one place rows are laid out: the symmetric CSR whose vertex v has the
     * higher neighbours `up(from(v) until to(v))`, weights `upW`. Row v reads
-    * [those entries, in the caller's order | v's lower neighbours ascending],
-    * filled by scanning the vertices upwards, so both directions of a pair
-    * carry the same weight bits. Higher first: moves take the first of equally
-    * scored targets in adjacency order, and rows that open with the lowest ids
-    * skew those ties (DESIGN §5).
+    * [those entries, in the caller's order | v's lower neighbours ascending].
+    * Higher first: moves take the first of equally scored targets in adjacency
+    * order, and rows that open with the lowest ids skew those ties (DESIGN §5).
+    *
+    * `from` is nondecreasing with n + 1 entries and to(v) ≤ from(v + 1); it
+    * splits the vertices into ascending blocks of about equal work
+    * ([[repro.util.Parallel.blocks]]). Each block counts its entries per
+    * destination in its own row of `lowerAt`; one pass over the vertices turns
+    * the counts into each block's first slot in each lower part, and the
+    * offsets; then each block copies its higher parts and mirrors them into
+    * the lower parts. Both directions of a pair carry the same weight bits,
+    * and the blocks fill each lower part in ascending order, so the arrays
+    * are identical at every thread count. One thread makes one block.
     */
   private[repro] def fromUpper(n: Int, from: Array[Int], to: Array[Int], up: Array[Int], upW: Array[Double],
-                                k: Array[Double], selfLoop: Array[Double], sq: Array[Double]): LocalGraph = {
-    val offsets = new Array[Int](n + 1) // offsets(v + 1) first counts v's lower neighbours
-    var v = 0
+                                k: Array[Double], selfLoop: Array[Double], sq: Array[Double],
+                                threads: Int = 1): LocalGraph = {
+    val cuts    = Parallel.blocks(from, n, threads)
+    val lowerAt = new Array[Array[Int]](cuts.length - 1) // lowerAt(b)(x): block b's next slot in x's row
+    Parallel.forBlocks(cuts, threads) { (_, b) =>
+      val cnt = new Array[Int](n); lowerAt(b) = cnt
+      var v = cuts(b)
+      while (v < cuts(b + 1)) {
+        var i = from(v)
+        while (i < to(v)) { cnt(up(i)) += 1; i += 1 }
+        v += 1
+      }
+    }
+    val offsets = new Array[Int](n + 1)
+    var p = 0; var v = 0
     while (v < n) {
-      var i = from(v)
-      while (i < to(v)) { offsets(up(i) + 1) += 1; i += 1 }
+      p += to(v) - from(v)
+      var b = 0
+      while (b < lowerAt.length) { val row = lowerAt(b); val c = row(v); row(v) = p; p += c; b += 1 }
+      offsets(v + 1) = p
       v += 1
     }
-    val lowerAt = new Array[Int](n)
-    v = 0
-    while (v < n) { lowerAt(v) = offsets(v) + to(v) - from(v); offsets(v + 1) += lowerAt(v); v += 1 }
-    val nbrs = new Array[Int](offsets(n)); val wgts = new Array[Double](offsets(n))
-    var u = 0
-    while (u < n) {
-      var p = offsets(u); var i = from(u)
-      while (i < to(u)) {
-        val x = up(i); val w = upW(i)
-        nbrs(p) = x; wgts(p) = w; p += 1
-        nbrs(lowerAt(x)) = u; wgts(lowerAt(x)) = w; lowerAt(x) += 1
-        i += 1
+    val nbrs = new Array[Int](p); val wgts = new Array[Double](p)
+    Parallel.forBlocks(cuts, threads) { (_, b) =>
+      val next = lowerAt(b)
+      var u = cuts(b)
+      while (u < cuts(b + 1)) {
+        var q = offsets(u); var i = from(u)
+        while (i < to(u)) {
+          val x = up(i); val w = upW(i); val s = next(x)
+          nbrs(q) = x; wgts(q) = w; q += 1
+          nbrs(s) = u; wgts(s) = w; next(x) = s + 1
+          i += 1
+        }
+        u += 1
       }
-      u += 1
     }
     new LocalGraph(n, offsets, nbrs, wgts, k, selfLoop, sq)
   }

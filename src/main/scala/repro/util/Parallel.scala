@@ -54,6 +54,55 @@ object Parallel {
     val futures = pool(threads).invokeAll(tasks)
     futures.forEach(_.get()) // propagate exceptions
   }
+
+  // Blocks per worker of `blocks`: a few, so a worker that falls behind
+  // leaves its last blocks to the others.
+  private val BlocksPerThread = 4
+
+  /** Cut points 0 = cuts(0) < … < cuts(B) = n of B ≤ threads·BlocksPerThread
+    * contiguous blocks of about equal work, where index i costs
+    * `prefix(i + 1) - prefix(i) + 1`; `prefix` is nondecreasing with n + 1
+    * entries. No block is empty, so an index whose work exceeds a block's
+    * share gets a block to itself. One thread gets the one block [0, n).
+    */
+  def blocks(prefix: Array[Int], n: Int, threads: Int): Array[Int] = {
+    if (n <= 0) return Array(0)
+    val want = if (threads <= 1) 1 else threads * BlocksPerThread
+    if (want == 1) return Array(0, n)
+    val base  = prefix(0).toLong
+    val total = prefix(n) - base + n
+    val cuts  = Array.newBuilder[Int]; cuts += 0
+    var lo = 0; var last = 0
+    var b  = 1
+    while (b < want) {
+      // The first index whose work before it reaches b/want of the total.
+      val target = total * b / want
+      var hi = n
+      while (lo < hi) { val mid = (lo + hi) >>> 1; if (prefix(mid) - base + mid < target) lo = mid + 1 else hi = mid }
+      if (lo > last && lo < n) { cuts += lo; last = lo }
+      b += 1
+    }
+    cuts += n
+    cuts.result()
+  }
+
+  /** Runs `body(worker, b)` once for each block b of `cuts` (as made by
+    * [[blocks]]), the indices `[cuts(b), cuts(b + 1))`. Workers claim blocks
+    * in ascending order; `worker` is in `[0, threads)`, and no two bodies with
+    * the same worker index run at once. One thread or one block runs inline
+    * on the caller as worker 0.
+    */
+  def forBlocks(cuts: Array[Int], threads: Int)(body: (Int, Int) => Unit): Unit = {
+    val nb = cuts.length - 1
+    if (threads <= 1 || nb <= 1) { var b = 0; while (b < nb) { body(0, b); b += 1 }; return }
+    val next  = new java.util.concurrent.atomic.AtomicInteger(0)
+    val tasks = new java.util.ArrayList[Callable[Unit]](threads)
+    for (w <- 0 until math.min(threads, nb)) tasks.add { () =>
+      var b = next.getAndIncrement()
+      while (b < nb) { body(w, b); b = next.getAndIncrement() }
+    }
+    pool(threads).invokeAll(tasks).forEach(_.get()) // propagate exceptions
+  }
 }
 
 /** Atomic array of doubles built on CAS over raw long bits — the paper's

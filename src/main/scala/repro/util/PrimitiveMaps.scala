@@ -9,7 +9,7 @@ package repro.util
   * with `keyAt` and `valueAt`.
   */
 final class IntDoubleMap(universe: Int) {
-  private val slot                 = Array.fill(universe)(-1)
+  private val slot                 = { val a = new Array[Int](universe); java.util.Arrays.fill(a, -1); a }
   private var keys: Array[Int]     = new Array[Int](16)
   private var vals: Array[Double]  = new Array[Double](16)
   private var nUsed                = 0

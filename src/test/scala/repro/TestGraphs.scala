@@ -68,6 +68,45 @@ object TestGraphs {
     total
   }
 
+  /** Fails unless `g` is a well-formed level graph: offsets ascend from 0;
+    * every neighbour is in range and not the row's own vertex; each row holds
+    * a neighbour at most once; every u→v entry has a v→u entry with the same
+    * weight bits; weights and self-loops are finite; and every k_v is finite
+    * and non-negative.
+    */
+  def assertWellFormed(g: LocalGraph): Unit = {
+    import org.scalatest.Assertions.assert
+    val n = g.numVertices; val m = g.nbrs.length
+    assert(g.offsets(0) == 0 && g.wgts.length == m, "offsets must start at 0; nbrs and wgts must match")
+    assert(Seq(g.vertexWeight, g.selfLoop, g.sqWeight).forall(_.length == n), "vertex arrays must have n entries")
+    // The entries that point at v, in ascending source order: a counting sort by neighbour.
+    val inAt = new Array[Int](n + 1)
+    for (u <- 0 until n) {
+      assert(g.offsets(u) <= g.offsets(u + 1), s"offsets descend at $u")
+      assert(java.lang.Double.isFinite(g.selfLoop(u)), s"selfLoop($u) = ${g.selfLoop(u)}")
+      assert(java.lang.Double.isFinite(g.vertexWeight(u)) && g.vertexWeight(u) >= 0, s"k($u) = ${g.vertexWeight(u)}")
+      for (i <- g.offsets(u) until g.offsets(u + 1)) {
+        val v = g.nbrs(i)
+        assert(v >= 0 && v < n && v != u, s"row $u holds neighbour $v")
+        assert(java.lang.Double.isFinite(g.wgts(i)), s"edge ($u,$v) has weight ${g.wgts(i)}")
+        inAt(v + 1) += 1
+      }
+    }
+    for (v <- 0 until n) inAt(v + 1) += inAt(v)
+    val inSrc = new Array[Int](m); val inBits = new Array[Long](m); val next = inAt.clone()
+    for (u <- 0 until n; i <- g.offsets(u) until g.offsets(u + 1)) {
+      val v = g.nbrs(i)
+      inSrc(next(v)) = u; inBits(next(v)) = java.lang.Double.doubleToRawLongBits(g.wgts(i)); next(v) += 1
+    }
+    for (v <- 0 until n) {
+      val row = (g.offsets(v) until g.offsets(v + 1))
+        .map(i => (g.nbrs(i), java.lang.Double.doubleToRawLongBits(g.wgts(i)))).sortBy(_._1)
+      assert(row.map(_._1).distinct.length == row.length, s"row $v repeats a neighbour")
+      assert(row == (inAt(v) until inAt(v + 1)).map(j => (inSrc(j), inBits(j))),
+             s"row $v is not mirrored by its neighbours' entries with equal weight bits")
+    }
+  }
+
   /** Star graph with `leaves` leaves, each leaf tied to center 0 by `w`. */
   def star(leaves: Int, w: Double = 1.0): LocalGraph =
     LocalGraph.fromEdges(leaves + 1, (1 to leaves).map(l => (0, l, w)))

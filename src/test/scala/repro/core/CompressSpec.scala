@@ -112,14 +112,6 @@ class CompressSpec extends AnyFunSuite with Matchers {
     es.toMap
   }
 
-  private def assertBitwiseSymmetric(g: LocalGraph): Unit = {
-    val bits = entryBits(g)
-    bits.foreach { case ((a, b), w) =>
-      a should not be b
-      bits.get((b, a)) shouldBe Some(w)
-    }
-  }
-
   private def assertSameArrays(a: LocalGraph, b: LocalGraph): Unit = {
     a.numVertices shouldBe b.numVertices
     java.util.Arrays.equals(a.offsets, b.offsets) shouldBe true
@@ -133,9 +125,9 @@ class CompressSpec extends AnyFunSuite with Matchers {
   test("compressed weights are bitwise symmetric on non-integer weights") {
     for (seed <- 1 to 8) {
       val g  = TestGraphs.randomWeighted(120, 0.1, seed)
-      assertBitwiseSymmetric(g)
+      TestGraphs.assertWellFormed(g)
       val cl = Objective.normalize(TestGraphs.randomClustering(120, 15, seed + 3))
-      for (threads <- Seq(1, 4)) assertBitwiseSymmetric(Compress.compress(g, cl, cl.max + 1, threads))
+      for (threads <- Seq(1, 4, 8)) TestGraphs.assertWellFormed(Compress.compress(g, cl, cl.max + 1, threads))
     }
   }
 
@@ -205,7 +197,7 @@ class CompressSpec extends AnyFunSuite with Matchers {
     val seq = Compress.compress(g, cl, nC, threads = 1)
     val par = Compress.compress(g, cl, nC, threads = 8)
     assertSameArrays(seq, par)
-    assertBitwiseSymmetric(par)
+    TestGraphs.assertWellFormed(par)
     par.degree(0) shouldBe nC - 1 // the hub row reaches every singleton
     par.vertexWeight(0) shouldBe giant.toDouble
     for (lambda <- Seq(0.01, 0.2, 0.7))
@@ -218,7 +210,7 @@ class CompressSpec extends AnyFunSuite with Matchers {
       (3, 3, 2.0), (2, 2, 0.5), (3, 2, 0.1), (4, 0, 0.3), (0, 4, 0.3), (1, 2, 0.4), (2, 1, 1.0)))
     g.numEdges shouldBe 4
     g.selfLoop.toSeq shouldBe Seq(0.0, 0.0, 1.5, 2.0, 0.0)
-    assertBitwiseSymmetric(g)
+    TestGraphs.assertWellFormed(g)
     val bits = entryBits(g).map { case (k, w) => k -> java.lang.Double.longBitsToDouble(w) }
     bits((0, 1)) shouldBe 0.875 +- EPS
     bits((2, 3)) shouldBe 1.1 +- EPS

@@ -117,6 +117,13 @@ class GraphGenSpec extends AnyFunSuite with Matchers {
     csr(hubby) shouldBe ((13013596, 391685090, -721578239))
   }
 
+  test("generator outputs are well formed") {
+    Seq(GraphGen.rmat(12, 40_000, seed = 7), GraphGen.presetSmall("amazon-lite").graph,
+        GraphGen.sbm(n = 3000, minSize = 10, maxSize = 50, dIn = 5, dOut = 1, seed = 7,
+                     hubs = 3, hubDegree = 500).graph,
+        GraphGen.karate, GraphGen.rmat(scale = 5, numEdges = 0, seed = 3)).foreach(TestGraphs.assertWellFormed)
+  }
+
   test("rMAT quadrant cuts agree with nextDouble() < p") {
     // nextDouble() is (nextLong() >>> 11) * 2^-53, so the integer draw x falls
     // below the cut exactly when the double falls below p.

@@ -2,6 +2,8 @@ package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalatest.matchers.should.Matchers
+import repro.TestGraphs
+import repro.util.Parallel
 
 class LocalGraphSpec extends AnyFunSuite with Matchers {
 
@@ -102,6 +104,40 @@ class LocalGraphSpec extends AnyFunSuite with Matchers {
     }
     g.numEdges shouldBe pairs.map(_._1).distinct.size
     g.selfLoop.toSeq shouldBe Seq(0.0, 0.0, 4.5, 0.0, 0.0, 0.0)
+  }
+
+  test("fromUpper lays out identical arrays at 1, 2, 3 and 8 threads") {
+    // Higher parts in scrambled order with unused slots after each, as
+    // Compress leaves them; isolated vertices with empty rows; and a top-id
+    // hub that every third vertex points to, so each block mirrors into it.
+    val n   = 3000; val hub = n - 1
+    val rng = new java.util.SplittableRandom(11)
+    def isolated(v: Int) = v % 11 == 5
+    val rows = Array.tabulate(n) { v =>
+      if (isolated(v) || v == hub) Array.empty[Int]
+      else {
+        val others = Array.fill(rng.nextInt(6))(v + 1 + rng.nextInt(n - 1 - v)).filter(u => u != hub && !isolated(u))
+        val withHub = if (v % 3 == 0) others :+ hub else others
+        new scala.util.Random(v).shuffle(withHub.distinct.toSeq).toArray
+      }
+    }
+    val from = new Array[Int](n + 1); val to = new Array[Int](n)
+    for (v <- 0 until n) { to(v) = from(v) + rows(v).length; from(v + 1) = to(v) + rng.nextInt(3) }
+    val up = new Array[Int](from(n)); val upW = new Array[Double](from(n))
+    for (v <- 0 until n; (u, j) <- rows(v).zipWithIndex) { up(from(v) + j) = u; upW(from(v) + j) = rng.nextDouble() + 1e-3 }
+    val k = Array.fill(n)(1.0)
+    def build(threads: Int) = LocalGraph.fromUpper(n, from, to, up, upW, k, new Array[Double](n), k, threads)
+    val one = build(1)
+    TestGraphs.assertWellFormed(one)
+    one.degree(hub) shouldBe (0 until hub by 3).count(v => !isolated(v))
+    for (v <- 0 until n if isolated(v)) one.degree(v) shouldBe 0
+    for (threads <- Seq(2, 3, 8)) {
+      Parallel.blocks(from, n, threads).length - 1 should be > threads
+      val g = build(threads)
+      java.util.Arrays.equals(g.offsets, one.offsets) shouldBe true
+      java.util.Arrays.equals(g.nbrs, one.nbrs) shouldBe true
+      java.util.Arrays.equals(g.wgts, one.wgts) shouldBe true
+    }
   }
 
   test("sizeInBytes accounts CSR arrays") {

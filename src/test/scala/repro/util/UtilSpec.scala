@@ -45,6 +45,79 @@ class ParallelSpec extends AnyFunSuite with Matchers {
     workers.toSet shouldBe Set(0)
   }
 
+  /** Prefix sums of `work`, with work.length + 1 entries. */
+  private def prefixOf(work: Array[Int]): Array[Int] = work.scanLeft(0)(_ + _)
+
+  /** `cuts` splits [0, n) into non-empty ascending blocks. */
+  private def checkCuts(cuts: Array[Int], n: Int): Unit = {
+    cuts.head shouldBe 0
+    cuts.last shouldBe n
+    cuts.sliding(2).foreach { case Array(a, b) => a should be < b }
+  }
+
+  test("blocks are contiguous, ascending, non-empty and balanced by the prefix") {
+    val rng  = new java.util.SplittableRandom(3)
+    val n    = 5000
+    val work = Array.tabulate(n)(i => if (i < 50) 2000 else rng.nextInt(20))
+    val pre  = prefixOf(work)
+    for (threads <- Seq(2, 3, 8)) {
+      val cuts = Parallel.blocks(pre, n, threads)
+      checkCuts(cuts, n)
+      cuts.length - 1 should be > threads
+      // Every block but the ones holding a single heavy index stays near its share.
+      val share = (pre(n) + n).toDouble / (cuts.length - 1)
+      cuts.sliding(2).foreach { case Array(a, b) =>
+        if (b - a > 1) (pre(b) - pre(a) + b - a).toDouble should be <= 2 * share
+      }
+    }
+    Parallel.blocks(pre, n, 1).toSeq shouldBe Seq(0, n)
+    Parallel.blocks(Array(0), 0, 4).toSeq shouldBe Seq(0)
+  }
+
+  test("forBlocks covers every index once, one body per worker at a time") {
+    val rng = new java.util.SplittableRandom(5)
+    for (threads <- Seq(2, 3, 8); n <- Seq(1, 7, 100, 20000)) {
+      val pre   = prefixOf(Array.fill(n)(rng.nextInt(50)))
+      val cuts  = Parallel.blocks(pre, n, threads)
+      checkCuts(cuts, n)
+      val hits  = new java.util.concurrent.atomic.AtomicIntegerArray(n)
+      val inUse = new java.util.concurrent.atomic.AtomicIntegerArray(threads)
+      val bad   = new java.util.concurrent.atomic.AtomicInteger(0)
+      Parallel.forBlocks(cuts, threads) { (w, b) =>
+        if (w < 0 || w >= threads || !inUse.compareAndSet(w, 0, 1)) bad.incrementAndGet()
+        else {
+          for (i <- cuts(b) until cuts(b + 1)) hits.incrementAndGet(i)
+          Thread.sleep(0, 1000)
+          inUse.set(w, 0)
+        }
+      }
+      bad.get shouldBe 0
+      (0 until n).foreach(i => hits.get(i) shouldBe 1)
+    }
+  }
+
+  test("forBlocks with one thread runs one block inline as worker 0") {
+    val n    = 100 // below forWorkers' cut-off: blocks take no such short cut
+    val pre  = prefixOf(Array.fill(n)(1))
+    val cuts = Parallel.blocks(pre, n, 1)
+    val seen = scala.collection.mutable.ArrayBuffer.empty[(Int, Int, Thread)]
+    Parallel.forBlocks(cuts, 1)((w, b) => seen += ((w, b, Thread.currentThread)))
+    seen.toSeq shouldBe Seq((0, 0, Thread.currentThread))
+    // More than one thread on that small input still splits it.
+    Parallel.blocks(pre, n, 4).length - 1 should be > 1
+  }
+
+  test("a prefix with all its work on one index still terminates") {
+    for (n <- Seq(1, 2, 10, 1000); heavy <- Seq(0, n - 1)) {
+      val work = new Array[Int](n); work(heavy) = 1 << 30
+      val cuts = Parallel.blocks(prefixOf(work), n, 8)
+      checkCuts(cuts, n)
+      val hits = new java.util.concurrent.atomic.AtomicInteger(0)
+      Parallel.forBlocks(cuts, 8)((_, b) => hits.addAndGet(cuts(b + 1) - cuts(b)))
+      hits.get shouldBe n
+    }
+  }
+
   test("forRange propagates exceptions") {
     an[Exception] should be thrownBy
       Parallel.forRange(10000, 4)(i => if (i == 5000) throw new IllegalStateException("boom"))
